@@ -22,7 +22,8 @@ shared CI runner cannot fail the gate nondeterministically):
 * 1 usable core — the gate degrades to the bit-identity assertion and
   the artefact records the measured ratio with a note.
 
-The batched mode is timed best-of-2; the serial reference runs once
+The batched engine (``tune_population``'s default) is timed best-of-2;
+the per-die reference (``engine="serial"``) runs once
 (it is the slow side by an order of magnitude, and noise on seconds of
 runtime cannot tip a 10x gate).
 """
@@ -59,14 +60,14 @@ def test_batched_calibration_throughput(flow_factory, out_dir):
     slow_dies = len(population.slow_dies())
 
     started = time.perf_counter()
-    serial = tune_population(controller, population)
+    serial = tune_population(controller, population, engine="serial")
     serial_s = time.perf_counter() - started
 
     batched_s, batched = float("inf"), None
     for _ in range(2):
         fresh = TuningController(flow.placed, flow.clib)
         started = time.perf_counter()
-        batched = tune_population(fresh, population, mode="batched")
+        batched = tune_population(fresh, population)
         batched_s = min(batched_s, time.perf_counter() - started)
 
     assert batched == serial  # bit-identical summary, floats and all

@@ -40,7 +40,7 @@ from repro.flow import (ArtifactCache, ExperimentConfig, FlowResult,
                         default_cache, format_cache_stats,
                         format_population, format_spatial, format_table1,
                         implement, run_design_beta, run_population,
-                        run_population_study, run_spatial, run_table1)
+                        run_spatial)
 from repro.grouping import (RowGrouping, grouping_registry, make_grouping,
                             reduce_problem, solve_grouped)
 from repro.tech import (CellLibrary, CharacterizedLibrary, Technology,
@@ -87,9 +87,7 @@ __all__ = [
     "run_design_beta",
     "run_many",
     "run_population",
-    "run_population_study",
     "run_spatial",
-    "run_table1",
     "solve",
     "solve_grouped",
     "solve_heuristic",

@@ -21,8 +21,8 @@ bit-identically.  ``run()`` memoizes results in the content-addressed
 re-running a sweep is free and the hit/miss counters show exactly what
 was reused.  Solver methods are names in the
 :mod:`repro.core.registry` solver registry (``single_bb``,
-``ilp:highs``, ``ilp:branch_bound``, ``ilp:simplex``,
-``heuristic:row-descent``, ``heuristic:level-sweep`` plus aliases), so
+``ilp:highs``, ``ilp:branch_bound``, ``heuristic:row-descent``,
+``heuristic:level-sweep`` plus aliases), so
 new allocation strategies become available here without code changes.
 Allocation *granularity* is a spec axis too: ``grouping="bands:8"``
 solves at eight bias domains through :mod:`repro.grouping` (the
@@ -38,7 +38,7 @@ Batches scale across cores: ``run_many(specs, workers=N)`` fans the
 specs out over a process pool (specs are frozen, JSON-serializable and
 content-hashed, so they ship to workers as-is and payloads merge back
 into the shared cache), with results identical to the serial path; see
-``repro/flow/parallel.py`` and DESIGN.md, "Parallel execution".
+``repro/flow/executor.py`` and DESIGN.md, "Parallel execution".
 """
 
 from __future__ import annotations
@@ -46,8 +46,10 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from repro.core.problem import build_problem
 from repro.core.registry import registry
@@ -56,17 +58,18 @@ from repro.errors import GroupingError, RegistryError, SpecError
 from repro.flow.cache import (ArtifactCache, canonical_json, content_hash,
                               default_cache)
 from repro.flow.design_flow import FlowResult, implement
-from repro.flow.experiment import (TUNING_ENGINES, ExperimentConfig,
-                                   LifetimeConfig, LifetimeRow,
-                                   PopulationConfig, PopulationRow,
-                                   SpatialConfig, SpatialRow, Table1Row,
-                                   run_design_beta, run_lifetime_study,
-                                   run_population, run_spatial)
+from repro.flow.experiment import (ExperimentConfig, LifetimeConfig,
+                                   LifetimeRow, PopulationConfig,
+                                   PopulationRow, SpatialConfig, SpatialRow,
+                                   Table1Row, run_design_beta,
+                                   run_lifetime_study, run_population,
+                                   run_spatial)
 from repro.flow.parallel import SpecFailure
 from repro.grouping import solve_grouped, validate_grouping_spec
 from repro.placement.registry import validate_placer_spec
 from repro.tech.technology import BodyBiasRules, Technology
 from repro.tuning.lifetime import LIFETIME_MODES
+from repro.tuning.population import TUNING_ENGINES
 from repro.variation.aging import NbtiModel
 from repro.variation.drift import DriftModel
 from repro.variation.process import ProcessModel
@@ -99,6 +102,25 @@ stable; the lifetime fields ``epochs``/``cadence``/``drift`` and the
 ``placer`` field elide their defaults the same way.)  Kept disjoint from
 :data:`EXECUTION_KNOBS` and exhaustive over the dataclass fields, both
 enforced by the ``hash-stability`` lint rule and ``tests/lint``."""
+
+
+FINITE_FIELDS = ("beta", "beta_budget", "utilization", "ilp_time_limit_s",
+                 "tech", "process", "drift")
+"""RunSpec fields whose numbers (every numeric leaf of the override
+dicts included) must be finite: a NaN slowdown would otherwise run and
+report a zero-bias "solution", and NaN cannot be content-addressed."""
+
+
+def _numeric_leaves(value: Any, path: str) -> Iterator[tuple[str, Any]]:
+    """Every number inside ``value`` with its dotted path."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _numeric_leaves(item, f"{path}.{key}")
+    elif isinstance(value, (list, tuple)):
+        for index, item in enumerate(value):
+            yield from _numeric_leaves(item, f"{path}[{index}]")
+    elif isinstance(value, numbers.Real):
+        yield path, value
 
 
 @dataclass(frozen=True)
@@ -189,10 +211,10 @@ class RunSpec:
     tuning shards its slow dies across this many workers).  An
     execution knob, not an experiment input: it is excluded from the
     content address, and results are bit-identical for any value."""
-    tuning_engine: str = "serial"
+    tuning_engine: str = "batched"
     """Calibration execution engine for tuned population runs:
-    ``"serial"`` is the per-die reference loop, ``"batched"`` the
-    population-at-a-time engine (DESIGN.md, "Batched calibration").
+    ``"batched"`` is the population-at-a-time engine (DESIGN.md,
+    "Batched calibration"), ``"serial"`` the per-die reference loop.
     Like ``workers``, an execution knob with bit-identical results —
     excluded from the content address."""
     tech: dict = field(default_factory=dict)
@@ -209,6 +231,10 @@ class RunSpec:
             raise SpecError(
                 f"spec schema v{self.schema_version} is newer than this "
                 f"library's v{SCHEMA_VERSION}")
+        for name in FINITE_FIELDS:
+            for path, value in _numeric_leaves(getattr(self, name), name):
+                if not math.isfinite(value):
+                    raise SpecError(f"{path} must be finite, got {value}")
         if self.beta < 0:
             raise SpecError(f"beta must be non-negative, got {self.beta}")
         if self.clusters < 1:
@@ -246,6 +272,13 @@ class RunSpec:
         except RegistryError as exc:
             raise SpecError(
                 f"bad placer spec {self.placer!r}: {exc}") from exc
+        for name, method in (("method", self.method),
+                             ("ilp_backend", f"ilp:{self.ilp_backend}")):
+            try:
+                registry.get(method)
+            except RegistryError as exc:
+                raise SpecError(
+                    f"bad {name} {getattr(self, name)!r}: {exc}") from exc
         object.__setattr__(self, "cluster_budgets",
                            tuple(int(c) for c in self.cluster_budgets))
 

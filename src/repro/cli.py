@@ -17,10 +17,10 @@ Subcommands (all experiment-shaped ones are thin wrappers over the
 * ``layout DESIGN --beta B`` — ASCII layout view with bias clusters;
 * ``montecarlo DESIGN --dies N --seed S`` — sample a die population
   through the batched STA backend and report yield (``--tune`` runs the
-  closed calibration loop on every slow die, ``--tuning-engine batched``
-  switches it to the population-at-a-time engine with bit-identical
-  results, ``--workers N`` shards it over a process pool; runs are
-  reproducible from the seed);
+  closed calibration loop on every slow die population-at-a-time,
+  ``--tuning-engine serial`` switches it to the per-die reference loop
+  with bit-identical results, ``--workers N`` shards it over a process
+  pool; runs are reproducible from the seed);
 * ``spatial DESIGN --dies N --regions R`` — the spatial-vs-uniform
   compensation study: calibrate one correlated die population twice,
   per-region clustered vs single-sensor uniform, and report both yields
@@ -64,6 +64,7 @@ import sys
 
 from repro.circuits.catalog import (ALL_BENCHMARK_NAMES,
                                     BENCHMARK_NAMES)
+from repro.tuning.population import TUNING_ENGINES
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
@@ -385,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     allocate.add_argument("--clusters", type=int, default=3)
     allocate.add_argument("--ilp", action="store_true")
     allocate.add_argument("--method", default=None,
-                          help="solver-registry method (e.g. ilp:simplex, "
+                          help="solver-registry method (e.g. ilp:bnb, "
                                "heuristic:level-sweep); overrides --ilp")
     _add_grouping_flag(allocate)
     _add_placer_flag(allocate)
@@ -424,12 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
     montecarlo.add_argument("--beta-budget", type=float, default=0.0,
                             help="slowdown margin defining timing yield "
                                  "and, with --tune, the tuning target")
-    montecarlo.add_argument("--tuning-engine",
-                            choices=("serial", "batched"),
-                            default="serial",
-                            help="calibration execution engine: per-die "
-                                 "serial loop or the batched "
-                                 "population-at-a-time engine "
+    montecarlo.add_argument("--tuning-engine", choices=TUNING_ENGINES,
+                            default="batched",
+                            help="calibration execution engine: the "
+                                 "batched population-at-a-time engine or "
+                                 "the per-die serial reference loop "
                                  "(bit-identical results)")
     montecarlo.add_argument("--workers", type=int, default=1,
                             help="process-pool width for --tune: shard "

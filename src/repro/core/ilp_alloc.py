@@ -96,10 +96,9 @@ def solve_ilp(problem: FBBProblem, max_clusters: int = 3,
               time_limit_s: float | None = 120.0) -> BiasSolution:
     """Solve the exact ILP; raises on infeasibility or timeout.
 
-    ``backend`` is ``"highs"`` (production), ``"bnb"``/``"branch_bound"``
-    (the from-scratch branch & bound over scipy LP relaxations) or
-    ``"simplex"`` (branch & bound over the from-scratch tableau simplex
-    — the fully dependency-free path, for small designs).
+    ``backend`` is ``"highs"`` (production) or ``"bnb"``/``"branch_bound"``
+    (the from-scratch branch & bound over scipy LP relaxations, which
+    reproduces the paper's lp_solve non-convergence).
     :class:`TimeoutError_` mirrors the paper's "ILP did not converge in
     the specified amount of time" for the largest designs.
     """
@@ -109,9 +108,6 @@ def solve_ilp(problem: FBBProblem, max_clusters: int = 3,
         result = solve_highs(model, time_limit_s=time_limit_s)
     elif backend in ("bnb", "branch_bound"):
         result = solve_branch_bound(model, time_limit_s=time_limit_s)
-    elif backend == "simplex":
-        result = solve_branch_bound(model, time_limit_s=time_limit_s,
-                                    use_scipy_lp=False)
     else:
         raise AllocationError(f"unknown ILP backend {backend!r}")
 

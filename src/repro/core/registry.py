@@ -18,8 +18,6 @@ Registered entries (aliases in parentheses):
 * ``ilp:highs`` (``ilp``) — exact ILP via scipy's HiGHS MILP;
 * ``ilp:branch_bound`` (``ilp:bnb``) — from-scratch branch & bound over
   scipy LP relaxations;
-* ``ilp:simplex`` — branch & bound over the from-scratch tableau
-  simplex (fully dependency-free);
 * ``heuristic:row-descent`` (``heuristic``) — greedy per-row descent;
 * ``heuristic:level-sweep`` — the literal Fig. 5 reading.
 
@@ -166,7 +164,7 @@ def _make_heuristic_entry(strategy: str) -> SolverFunc:
     return entry
 
 
-for _backend in ("highs", "branch_bound", "simplex"):
+for _backend in ("highs", "branch_bound"):
     registry.register(f"ilp:{_backend}", _make_ilp_entry(_backend))
 for _strategy in STRATEGIES:
     registry.register(f"heuristic:{_strategy}",

@@ -13,12 +13,8 @@ from repro.flow.experiment import (ExperimentConfig, LifetimeConfig,
                                    PopulationRow, SpatialConfig, SpatialRow,
                                    Table1Row, run_design_beta,
                                    run_lifetime_study, run_population,
-                                   run_population_study, run_spatial,
-                                   run_table1)
-from repro.flow.parallel import (SpecFailure, execute_specs,
-                                 resolve_workers, stable_payload,
-                                 tune_dies_parallel,
-                                 tune_dies_spatial_parallel)
+                                   run_spatial)
+from repro.flow.parallel import SpecFailure, resolve_workers, stable_payload
 from repro.flow.reports import (format_cache_inventory,
                                 format_cache_stats,
                                 format_grouping_tradeoff,
@@ -47,7 +43,6 @@ __all__ = [
     "content_hash",
     "create_backend",
     "default_cache",
-    "execute_specs",
     "format_cache_inventory",
     "format_cache_stats",
     "format_serve_stats",
@@ -64,11 +59,7 @@ __all__ = [
     "run_design_beta",
     "run_lifetime_study",
     "run_population",
-    "run_population_study",
     "run_spatial",
-    "run_table1",
     "set_default_cache",
     "stable_payload",
-    "tune_dies_parallel",
-    "tune_dies_spatial_parallel",
 ]

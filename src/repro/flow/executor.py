@@ -20,9 +20,8 @@ behind a backend:
   tier — characterized libraries and implemented flows stay warm
   across batches and, for a server, across requests.
 
-The determinism contract is unchanged from the pre-refactor
-``flow/parallel.execute_specs``: the inline path is the reference, and
-any backend's merged results must equal it exactly (modulo wall-clock
+The determinism contract: the inline path is the reference, and any
+backend's merged results must equal it exactly (modulo wall-clock
 runtime fields).  ``RunSpec.workers`` stays an execution knob excluded
 from the content address, so results are shared across backends.
 """

@@ -20,21 +20,16 @@ reporting the yield-vs-age trajectory.
 from __future__ import annotations
 
 import time
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.problem import FBBProblem, build_problem
 from repro.core.single_bb import solve_single_bb
-from repro.errors import SpecError, TimeoutError_
-from repro.flow.design_flow import FlowResult, implement
+from repro.errors import TimeoutError_
+from repro.flow.design_flow import FlowResult
 from repro.grouping import solve_grouped
 from repro.variation.drift import DriftModel
 from repro.variation.montecarlo import sample_dies
 from repro.variation.process import ProcessModel
-
-#: population-tuning execution engines (PopulationConfig.tuning_engine /
-#: RunSpec.tuning_engine): both produce bit-identical summaries
-TUNING_ENGINES = ("serial", "batched")
 
 
 @dataclass(frozen=True)
@@ -69,14 +64,10 @@ class ExperimentConfig:
     skip_ilp_above_rows: int | None = None
     """Mimic the paper: no ILP results for the largest designs."""
     heuristic_strategy: str = "row-descent"
-    workers: int = 1
-    """Process-pool width for the (design, beta) fan-out when the run
-    routes through ``api.run_many`` (the ``run_table1`` shim)."""
     grouping: str = "identity"
     """Bias-domain grouping spec for the ILP/heuristic columns
     (``"identity"`` = the paper's per-row granularity; the Single BB
     baseline is granularity-free by definition)."""
-    extra: dict = field(default_factory=dict)
 
 
 def run_design_beta(flow: FlowResult, beta: float,
@@ -151,11 +142,11 @@ class PopulationConfig:
     grouping: str = "identity"
     """Bias-domain grouping the tuning controller allocates at
     (``"identity"`` = per-row, the pre-grouping behaviour)."""
-    tuning_engine: str = "serial"
-    """Calibration execution engine: ``"serial"`` runs the per-die
-    reference loop, ``"batched"`` advances all slow dies one
-    sense/allocate/verify step per matrix pass
-    (:mod:`repro.tuning.batched`) with bit-identical results.  An
+    tuning_engine: str = "batched"
+    """Calibration execution engine (``repro.tuning.TUNING_ENGINES``):
+    ``"batched"`` advances all slow dies one sense/allocate/verify step
+    per matrix pass (:mod:`repro.tuning.batched`), ``"serial"`` runs
+    the per-die reference loop with bit-identical results.  An
     execution knob like ``workers``, not an experiment input."""
 
 
@@ -200,20 +191,15 @@ def run_population(flow: FlowResult,
     tune_runtime = 0.0
     if config.tune:
         from repro.tuning.controller import TuningController
-        if config.tuning_engine not in TUNING_ENGINES:
-            raise SpecError(
-                f"unknown tuning engine {config.tuning_engine!r}; "
-                f"choose from {TUNING_ENGINES}")
+        from repro.tuning.population import tune_population
         started = time.perf_counter()
         controller = TuningController(flow.placed, flow.clib,
                                       max_clusters=config.max_clusters,
                                       method=config.method,
                                       grouping=config.grouping)
-        summary = controller.calibrate_population(
-            population, beta_budget=config.beta_budget,
-            workers=config.workers,
-            mode=("batched" if config.tuning_engine == "batched"
-                  else "model"))
+        summary = tune_population(
+            controller, population, beta_budget=config.beta_budget,
+            workers=config.workers, engine=config.tuning_engine)
         tune_runtime = time.perf_counter() - started
         tuned_yield = summary.yield_after
         recovered = summary.recovered
@@ -475,71 +461,3 @@ def run_lifetime_study(flow: FlowResult,
         sample_runtime_s=sample_runtime,
         tune_runtime_s=summary.runtime_s,
     )
-
-
-_DEPRECATION = ("%s is deprecated; build RunSpecs and call "
-                "repro.api.run_many (see DESIGN.md, 'The repro.api "
-                "facade')")
-
-
-def run_population_study(designs: tuple[str, ...],
-                         config: PopulationConfig | None = None,
-                         flows: dict[str, FlowResult] | None = None
-                         ) -> list[PopulationRow]:
-    """The population study over several designs.
-
-    .. deprecated:: routed through :mod:`repro.api`; kept as a thin
-       shim.  Callers supplying prebuilt ``flows`` or a custom
-       ``config.model`` (neither is spec-serializable) take the direct
-       legacy path and are not warned — the facade cannot express
-       their call yet.
-    """
-    if config is None:
-        config = PopulationConfig()
-    if flows is not None or config.model is not None:
-        return [run_population(
-            flows[name] if flows is not None else implement(name), config)
-            for name in designs]
-    warnings.warn(_DEPRECATION % "run_population_study",
-                  DeprecationWarning, stacklevel=2)
-    from repro import api
-    specs = [api.RunSpec(
-        kind="population", design=name, num_dies=config.num_dies,
-        seed=config.seed, engine=config.sta_engine, tune=config.tune,
-        clusters=config.max_clusters, beta_budget=config.beta_budget,
-        method=config.method, workers=config.workers,
-        grouping=config.grouping)
-        for name in designs]
-    return [result.to_population_row() for result in api.run_many(specs)]
-
-
-def run_table1(designs: tuple[str, ...],
-               config: ExperimentConfig | None = None,
-               flows: dict[str, FlowResult] | None = None
-               ) -> list[Table1Row]:
-    """Regenerate Table 1 for the given designs.
-
-    .. deprecated:: routed through :mod:`repro.api`; kept as a thin
-       shim.  Callers supplying prebuilt ``flows`` take the direct
-       legacy path (a prebuilt FlowResult is not spec-serializable)
-       and are not warned.
-    """
-    if config is None:
-        config = ExperimentConfig()
-    if flows is not None:
-        return [run_design_beta(flows[name], beta, config)
-                for name in designs for beta in config.betas]
-    warnings.warn(_DEPRECATION % "run_table1",
-                  DeprecationWarning, stacklevel=2)
-    from repro import api
-    specs = [api.RunSpec(
-        kind="table1", design=name, beta=beta,
-        method=f"heuristic:{config.heuristic_strategy}",
-        cluster_budgets=tuple(config.cluster_budgets),
-        ilp_backend=config.ilp_backend,
-        ilp_time_limit_s=config.ilp_time_limit_s,
-        skip_ilp_above_rows=config.skip_ilp_above_rows,
-        grouping=config.grouping)
-        for name in designs for beta in config.betas]
-    return [result.to_table1_row()
-            for result in api.run_many(specs, workers=config.workers)]

@@ -1,27 +1,17 @@
-"""Process-pool execution engine for sweeps and population tuning
-(scales the paper's Sec. 5 experiments across cores).
+"""Process-pool sharding for population tuning, plus the batch
+plumbing shared with the execution engine (scales the paper's Sec. 5
+experiments across cores).
 
-Everything above the batched STA used to be a serial Python loop: a
-sweep executed its RunSpecs one at a time and ``tune_population``
-calibrated dies one at a time, so a 10k-die study used one core.  Both
-workloads are embarrassingly parallel — every spec is a frozen,
-JSON-serializable, content-hashed value and every die's calibration is
-independent of every other die's — so this module fans them out over a
-:class:`concurrent.futures.ProcessPoolExecutor`:
-
-* :func:`execute_specs` is the batch entry behind
-  ``repro.api.run_many(specs, workers=N)``.  The orchestration it used
-  to own — resolve cache hits (memory + disk tier), dedupe by
-  ``spec_hash``, dispatch unique misses, merge payloads and counter
-  deltas back — now lives in
-  :class:`repro.flow.executor.ExecutionEngine`, shared with the
-  serving layer; this function remains as the thin batch adapter
-  (inline backend for one worker, persistent process pool otherwise).
-* :func:`tune_dies_parallel` shards a population's out-of-budget dies
-  into per-worker chunks; each worker rebuilds the tuning controller
-  once and runs the full sense/allocate/apply/verify loop per die.
-  Chunks are contiguous, so concatenating the parts restores die order
-  and the reassembled records are bit-identical to the serial path.
+Every die's calibration is independent of every other die's, so
+:func:`shard` splits a population's out-of-budget dies into contiguous
+per-worker chunks and maps one function over them on a
+:class:`concurrent.futures.ProcessPoolExecutor`; concatenating the parts
+restores die order.  :func:`tune_chunk` is the one worker
+``tune_population`` ships: it rebuilds the tuning controller from its
+constructor fields and runs the same chunk calibrator the in-process
+path runs, so the reassembled records are bit-identical to ``workers=1``
+in every mode and engine.  Spec batches fan out through
+:class:`repro.flow.executor.ExecutionEngine` instead.
 
 The determinism contract: ``workers=1`` is the reference path, and for
 any ``workers > 1`` the merged results must equal it exactly (modulo
@@ -36,10 +26,10 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.errors import SpecError
-from repro.flow.cache import ArtifactCache, canonical_json
+from repro.flow.cache import canonical_json
 
 
 def resolve_workers(workers: int | None,
@@ -123,187 +113,32 @@ class SpecFailure:
         return canonical_json(self.to_dict())
 
 
-# -- spec batches (repro.api.run_many's batch adapter) ---------------------
+# -- population tuning (tune_population's multi-core path) -----------------
 
-def execute_specs(specs: Sequence[Any],
-                  cache: ArtifactCache,
-                  workers: int = 1,
-                  use_cache: bool = True,
-                  capture_errors: bool = False) -> list[Any]:
-    """Execute a batch of RunSpecs, optionally over a process pool.
+def shard(fn: Callable[[list], list], items: Sequence[Any],
+          workers: int) -> list:
+    """``fn`` over contiguous chunks of ``items``, concatenated in order.
 
-    Returns results in spec order.  With ``capture_errors=True`` a
-    failing spec yields a :class:`SpecFailure` in its slot and the rest
-    of the batch still runs; otherwise the first failure (in spec
-    order) is raised.  ``workers=1`` is the serial reference path —
-    parallel payloads are identical because every spec is a pure
-    function of its content.
-
-    This is a thin batch adapter over
-    :class:`repro.flow.executor.ExecutionEngine` (where the shared
-    resolve → dedupe → dispatch → merge sequence lives): one worker
-    selects the inline backend, more select a warm process pool that
-    is torn down when the batch completes.
+    One chunk runs in-process; more run on a process pool sized to the
+    chunk count, so ``fn`` and the items must pickle.
     """
-    from repro.flow.executor import ExecutionEngine
-    with ExecutionEngine.for_batch(cache, workers,
-                                   num_tasks=len(specs)) as engine:
-        return engine.execute(list(specs), use_cache=use_cache,
-                              capture_errors=capture_errors)
-
-
-# -- population tuning (tune_population's parallel engine) -----------------
-
-def _worker_tune_chunk(args: tuple) -> list:
-    """Calibrate one contiguous chunk of out-of-budget dies.
-
-    Rebuilds the tuning controller once per chunk from the shipped
-    (placed, clib, knobs) material — controller construction is cheap
-    next to per-die calibration, and rebuilding avoids pickling live
-    analyzer/monitor state.
-    """
-    (placed, clib, max_clusters, max_iterations, beta_step, method,
-     grouping, beta_budget, dies) = args
-    from repro.tuning.controller import TuningController
-    from repro.tuning.population import calibrate_die
-    controller = TuningController(
-        placed, clib, max_clusters=max_clusters,
-        max_iterations=max_iterations, beta_step=beta_step, method=method,
-        grouping=grouping)
-    unbiased = controller.clib_leakage_unbiased()
-    return [calibrate_die(controller, index, beta, beta_budget, unbiased)
-            for index, beta in dies]
-
-
-def tune_dies_parallel(controller: Any,
-                       dies: Sequence[tuple[int, float]],
-                       beta_budget: float,
-                       workers: int) -> list:
-    """Shard ``(index, beta)`` dies over a pool; preserves input order.
-
-    Each worker runs the full closed calibration loop per die; since
-    every die's outcome is a pure function of its beta, the
-    concatenated records are bit-identical to the serial loop's.
-    """
-    workers = resolve_workers(workers, len(dies))
-    if not dies:
-        return []
-    chunks = chunked(list(dies), workers)
-    args = [(controller.placed, controller.clib, controller.max_clusters,
-             controller.max_iterations, controller.beta_step,
-             controller.method, controller.grouping, beta_budget, chunk)
-            for chunk in chunks]
-    if len(chunks) == 1:
-        parts = [_worker_tune_chunk(args[0])]
+    chunks = chunked(list(items), resolve_workers(workers, len(items)))
+    if len(chunks) <= 1:
+        parts = [fn(chunk) for chunk in chunks]
     else:
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(_worker_tune_chunk, args))
-    return [record for part in parts for record in part]
+            parts = list(pool.map(fn, chunks))
+    return [item for part in parts for item in part]
 
 
-def _worker_tune_batched_chunk(args: tuple) -> list:
-    """Batch-calibrate one contiguous chunk of out-of-budget dies.
+def tune_chunk(blueprint: dict, calibrate: Callable, dies: list) -> list:
+    """Pool worker: calibrate one chunk of dies on a rebuilt controller.
 
-    Mirrors :func:`_worker_tune_chunk` with the population-at-a-time
-    engine inside: the controller (and its compiled batched analyzer)
-    is rebuilt once per chunk, and every die's record is still a pure
-    function of its ``(beta, beta_budget)``, so concatenated chunks
-    equal the serial batched sweep — which itself equals the per-die
-    loop — bit for bit.
+    ``blueprint`` holds every constructor field of the tuning
+    controller; rebuilding from it is cheap next to calibration and
+    avoids pickling live analyzer/monitor state.
+    ``calibrate(controller, dies)`` is the chunk calibrator the
+    in-process path runs.
     """
-    (placed, clib, max_clusters, max_iterations, beta_step, method,
-     grouping, beta_budget, dies) = args
-    from repro.tuning.batched import calibrate_dies_batched
     from repro.tuning.controller import TuningController
-    controller = TuningController(
-        placed, clib, max_clusters=max_clusters,
-        max_iterations=max_iterations, beta_step=beta_step, method=method,
-        grouping=grouping)
-    unbiased = controller.clib_leakage_unbiased()
-    return calibrate_dies_batched(controller, dies, beta_budget, unbiased)
-
-
-def tune_dies_batched_parallel(controller: Any,
-                               dies: Sequence[tuple[int, float]],
-                               beta_budget: float,
-                               workers: int) -> list:
-    """Shard ``(index, beta)`` dies over a pool of batched engines.
-
-    The batched twin of :func:`tune_dies_parallel`: same contiguous
-    chunking, same order-restoring concatenation, each worker running
-    :func:`repro.tuning.batched.calibrate_dies_batched` over its chunk.
-    Chunk boundaries cannot change any record (per-die purity), so
-    ``workers=N`` stays bit-identical to ``workers=1``.
-    """
-    workers = resolve_workers(workers, len(dies))
-    if not dies:
-        return []
-    chunks = chunked(list(dies), workers)
-    args = [(controller.placed, controller.clib, controller.max_clusters,
-             controller.max_iterations, controller.beta_step,
-             controller.method, controller.grouping, beta_budget, chunk)
-            for chunk in chunks]
-    if len(chunks) == 1:
-        parts = [_worker_tune_batched_chunk(args[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(_worker_tune_batched_chunk, args))
-    return [record for part in parts for record in part]
-
-
-def _worker_tune_spatial_chunk(args: tuple) -> list:
-    """Spatially calibrate one contiguous chunk of out-of-budget dies.
-
-    Mirrors :func:`_worker_tune_chunk`: the controller (and its sensor
-    grid) is rebuilt once per chunk from the shipped material; every
-    die's record is a pure function of its sampled field, so the
-    concatenated chunks equal the serial sweep bit for bit.
-    """
-    (placed, clib, max_clusters, max_iterations, beta_step, method,
-     grouping, sense_guard, beta_budget, num_regions, replica_sensor,
-     gate_names, dies) = args
-    from repro.tuning.controller import TuningController
-    from repro.tuning.population import calibrate_die_spatial
-    controller = TuningController(
-        placed, clib, max_clusters=max_clusters,
-        max_iterations=max_iterations, beta_step=beta_step, method=method,
-        grouping=grouping, sense_guard=sense_guard)
-    unbiased = controller.clib_leakage_unbiased()
-    grid = (controller.replica_sensor_grid(num_regions) if replica_sensor
-            else controller.sensor_grid(num_regions))
-    return [calibrate_die_spatial(controller, index, beta, scale_row,
-                                  gate_names, beta_budget, unbiased, grid)
-            for index, beta, scale_row in dies]
-
-
-def tune_dies_spatial_parallel(controller: Any,
-                               dies: Sequence[tuple],
-                               gate_names: Sequence[str],
-                               beta_budget: float,
-                               workers: int,
-                               num_regions: int,
-                               replica_sensor: bool = False) -> list:
-    """Shard ``(index, beta, scale_row)`` dies over a pool, in order.
-
-    The spatial twin of :func:`tune_dies_parallel`: each worker rebuilds
-    the tuning controller and its per-region sensor grid once, then
-    runs the field-driven calibration loop per die.  Contiguous chunks
-    concatenate back in die order, so the records are bit-identical to
-    the serial ``workers=1`` path.
-    """
-    workers = resolve_workers(workers, len(dies))
-    if not dies:
-        return []
-    chunks = chunked(list(dies), workers)
-    args = [(controller.placed, controller.clib, controller.max_clusters,
-             controller.max_iterations, controller.beta_step,
-             controller.method, controller.grouping,
-             controller.sense_guard, beta_budget,
-             num_regions, replica_sensor, tuple(gate_names), chunk)
-            for chunk in chunks]
-    if len(chunks) == 1:
-        parts = [_worker_tune_spatial_chunk(args[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(_worker_tune_spatial_chunk, args))
-    return [record for part in parts for record in part]
+    return calibrate(TuningController(**blueprint), dies)

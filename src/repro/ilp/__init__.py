@@ -1,18 +1,15 @@
 """MILP substrate for the paper's exact Sec. 4.2 ILP: model container,
-simplex, branch & bound, HiGHS."""
+branch & bound, HiGHS."""
 
 from repro.ilp.branch_bound import solve_branch_bound
 from repro.ilp.highs import solve_highs
 from repro.ilp.model import MilpModel, Sense, Solution, Status
-from repro.ilp.simplex import LpResult, solve_lp
 
 __all__ = [
-    "LpResult",
     "MilpModel",
     "Sense",
     "Solution",
     "Status",
     "solve_branch_bound",
     "solve_highs",
-    "solve_lp",
 ]

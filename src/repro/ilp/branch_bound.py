@@ -2,10 +2,7 @@
 
 Our lp_solve substitute's back half: LP-relaxation-based branch & bound
 with best-bound node selection and most-fractional branching.  The LP
-relaxations are solved by scipy's HiGGS ``linprog`` when available (it is
-in this environment) or by the from-scratch simplex in
-:mod:`repro.ilp.simplex` — both produce identical branching behaviour on
-the FBB problems.
+relaxations are solved by scipy's HiGHS ``linprog``.
 
 A wall-clock time limit reproduces the paper's observation that the
 exact ILP "did not converge in a specified amount of time" on the two
@@ -18,45 +15,34 @@ import heapq
 import time
 
 import numpy as np
+from scipy.optimize import linprog
 
 from repro.errors import SolverError
 from repro.ilp.model import MilpModel, Solution, Status
-from repro.ilp.simplex import solve_lp
-
-try:
-    from scipy.optimize import linprog as _scipy_linprog
-except ImportError:  # pragma: no cover - scipy is a hard dependency
-    _scipy_linprog = None
 
 _INTEGER_TOL = 1e-6
 
 
-def _solve_relaxation(c, a_ub, b_ub, a_eq, b_eq, lower, upper,
-                      use_scipy: bool):
+def _solve_relaxation(c, a_ub, b_ub, a_eq, b_eq, lower, upper):
     """Solve one LP relaxation; returns (status, objective, x)."""
-    if use_scipy and _scipy_linprog is not None:
-        bounds = list(zip(lower, upper))
-        result = _scipy_linprog(
-            c, A_ub=a_ub if len(a_ub) else None,
-            b_ub=b_ub if len(b_ub) else None,
-            A_eq=a_eq if len(a_eq) else None,
-            b_eq=b_eq if len(b_eq) else None,
-            bounds=bounds, method="highs")
-        if result.status == 2:
-            return "infeasible", None, None
-        if result.status == 3:
-            return "unbounded", None, None
-        if not result.success:
-            raise SolverError(f"linprog failed: {result.message}")
-        return "optimal", float(result.fun), np.asarray(result.x)
-    result = solve_lp(c, a_ub, b_ub, a_eq, b_eq, lower, upper)
-    return result.status, result.objective, result.x
+    result = linprog(
+        c, A_ub=a_ub if len(a_ub) else None,
+        b_ub=b_ub if len(b_ub) else None,
+        A_eq=a_eq if len(a_eq) else None,
+        b_eq=b_eq if len(b_eq) else None,
+        bounds=list(zip(lower, upper)), method="highs")
+    if result.status == 2:
+        return "infeasible", None, None
+    if result.status == 3:
+        return "unbounded", None, None
+    if not result.success:
+        raise SolverError(f"linprog failed: {result.message}")
+    return "optimal", float(result.fun), np.asarray(result.x)
 
 
 def solve_branch_bound(model: MilpModel,
                        time_limit_s: float | None = None,
-                       max_nodes: int = 200_000,
-                       use_scipy_lp: bool = True) -> Solution:
+                       max_nodes: int = 200_000) -> Solution:
     """Solve a MILP by LP-based branch & bound.
 
     Returns a :class:`Solution` whose status is OPTIMAL, INFEASIBLE or
@@ -73,7 +59,7 @@ def solve_branch_bound(model: MilpModel,
                 and time.monotonic() - start > time_limit_s)
 
     status, objective, x = _solve_relaxation(
-        c, a_ub, b_ub, a_eq, b_eq, lower0, upper0, use_scipy_lp)
+        c, a_ub, b_ub, a_eq, b_eq, lower0, upper0)
     if status == "infeasible":
         return Solution(Status.INFEASIBLE, None, None)
     if status == "unbounded":
@@ -95,7 +81,7 @@ def solve_branch_bound(model: MilpModel,
         if best_obj is not None and bound >= best_obj - 1e-9:
             continue
         status, objective, x = _solve_relaxation(
-            c, a_ub, b_ub, a_eq, b_eq, lower, upper, use_scipy_lp)
+            c, a_ub, b_ub, a_eq, b_eq, lower, upper)
         nodes += 1
         if status != "optimal":
             continue

@@ -27,6 +27,7 @@ REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
+    422: "Unprocessable Entity",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }

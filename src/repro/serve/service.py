@@ -11,7 +11,9 @@ be a warm process pool), so the loop never blocks on an allocation.
 
 Endpoints::
 
-    POST /run       RunSpec JSON -> RunResult JSON (200)
+    POST /run       RunSpec JSON -> RunResult JSON (200; 400 for a
+                    malformed spec, 422 for one the library cannot
+                    satisfy, e.g. an infeasible allocation)
     GET  /stats     counters: endpoints, single-flight, tiered cache
     GET  /healthz   liveness probe
     POST /shutdown  begin graceful drain (202)
@@ -200,7 +202,13 @@ class AllocationServer:
             return await loop.run_in_executor(
                 self._bridge, self.engine.run_spec, spec)
 
-        result, coalesced = await self.single_flight.run(key, execute)
+        try:
+            result, coalesced = await self.single_flight.run(key, execute)
+        except ReproError as exc:
+            # A well-formed spec the library cannot satisfy, such as an
+            # infeasible allocation: the request's fault, not the server's.
+            endpoint.errors += 1
+            return 422, _error_body(exc)
         if coalesced:
             endpoint.coalesced += 1
         elif result.cache_hit:

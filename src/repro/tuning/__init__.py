@@ -12,8 +12,8 @@ from repro.tuning.eco import (DEFAULT_QUANT_STEP, EcoResult, EcoSolver,
 from repro.tuning.generator import BodyBiasGenerator
 from repro.tuning.lifetime import (LIFETIME_MODES, EpochOutcome,
                                    LifetimeSummary, run_lifetime)
-from repro.tuning.population import (DIE_STATUSES, TUNING_MODES,
-                                     DieTuningRecord,
+from repro.tuning.population import (DIE_STATUSES, TUNING_ENGINES,
+                                     TUNING_MODES, DieTuningRecord,
                                      PopulationTuningSummary, calibrate_die,
                                      calibrate_die_spatial, tune_population)
 from repro.tuning.sensors import (InSituMonitor, PathReplicaSensor,
@@ -35,6 +35,7 @@ __all__ = [
     "PopulationMonitor",
     "PopulationTuningSummary",
     "SpatialSensorGrid",
+    "TUNING_ENGINES",
     "TUNING_MODES",
     "TuningController",
     "TuningOutcome",

@@ -79,12 +79,10 @@ class TuningController:
     placed: PlacedDesign
     clib: CharacterizedLibrary
     max_clusters: int = 3
-    use_ilp: bool = False
     max_iterations: int = 6
     beta_step: float = 0.01
-    method: str | None = None
-    """Solver-registry method for the allocate step; ``None`` derives it
-    from the legacy ``use_ilp`` flag."""
+    method: str = "heuristic:row-descent"
+    """Solver-registry method for the allocate step."""
     sense_guard: float = 0.0
     """Guard band added to every spatial sensing estimate (slowdown
     units): monitors read delay-weighted *means*, while timing is set by
@@ -111,9 +109,6 @@ class TuningController:
             except GroupingError as exc:
                 raise TuningError(
                     f"bad grouping spec {self.grouping!r}: {exc}") from exc
-        if self.method is None:
-            self.method = "ilp:highs" if self.use_ilp else \
-                "heuristic:row-descent"
         self._solver = registry.get(self.method)
         self.analyzer = TimingAnalyzer.for_placed(self.placed)
         self.dcrit_ps = self.analyzer.critical_delay_ps()
@@ -417,26 +412,6 @@ class TuningController:
             settle_latency_us=self.generator.settle_latency_us(),
             history=history,
             region_betas=tuple(float(b) for b in estimates))
-
-    def calibrate_population(self, population, beta_budget: float = 0.0,
-                             workers: int = 1, mode: str = "model",
-                             num_regions: int = DEFAULT_SENSOR_REGIONS):
-        """Tune every out-of-budget die of a Monte Carlo population.
-
-        Thin wrapper over :func:`repro.tuning.population.tune_population`
-        (imported lazily to keep the module graph acyclic); returns its
-        :class:`PopulationTuningSummary`.  ``workers > 1`` shards the
-        slow dies over a process pool with bit-identical results;
-        ``mode="spatial"`` runs :meth:`calibrate_spatial` against each
-        slow die's sampled field instead of the uniform-derate model;
-        ``mode="batched"`` runs the model-mode loop population-at-a-time
-        through :func:`repro.tuning.batched.calibrate_dies_batched`,
-        bit-identical to the per-die sweep.
-        """
-        from repro.tuning.population import tune_population
-        return tune_population(self, population, beta_budget,
-                               workers=workers, mode=mode,
-                               num_regions=num_regions)
 
     def clib_leakage_unbiased(self) -> float:
         """Design leakage with no body bias applied, nanowatts."""

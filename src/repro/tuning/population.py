@@ -9,31 +9,31 @@ aggregates the yield and leakage economics — the numbers behind the
 process/thermal/aging example scripts.
 
 Each die's calibration is independent, so ``tune_population`` can shard
-a population across a process pool (``workers > 1``, engine in
-``repro/flow/parallel.py``) with results bit-identical to the serial
-loop; see DESIGN.md, "Parallel execution".
+a population across a process pool (``workers > 1``, via
+``repro/flow/parallel.py``) with results bit-identical to the
+in-process run; see DESIGN.md, "Parallel execution".
 
-Three calibration modes mirror the controller's:
+Two calibration modes mirror the controller's:
 
 * ``mode="model"`` (default) — each slow die is modelled by its scalar
-  measured beta (the paper's die-wide derate);
+  measured beta (the paper's die-wide derate).  Its production engine
+  (``engine="batched"``) advances the population at a time through
+  :mod:`repro.tuning.batched` (one allocation per distinct quantised
+  estimate, one matrix-STA verify per pass); ``engine="serial"`` runs
+  the per-die reference loop, :func:`calibrate_die`, with bit-identical
+  records (DESIGN.md, "Batched calibration");
 * ``mode="spatial"`` — each slow die is calibrated against its sampled
   per-gate delay-scale field through a per-region sensor grid
   (``num_regions``; 1 = the die-uniform sensing baseline), which is the
   paper's physically-clustered compensation closed over the correlated
-  intra-die field (DESIGN.md, "Spatial compensation");
-* ``mode="batched"`` — model-mode semantics executed population-at-a-
-  time by :mod:`repro.tuning.batched` (one allocation per distinct
-  quantised estimate, one matrix-STA verify per pass).  An execution
-  engine, not an experiment input: the summary is bit-identical to
-  ``mode="model"`` and records ``mode="model"`` (DESIGN.md, "Batched
-  calibration").
+  intra-die field (DESIGN.md, "Spatial compensation").
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -44,7 +44,11 @@ from repro.tuning.sensors import SpatialSensorGrid
 from repro.variation.montecarlo import MonteCarloResult
 
 #: supported population calibration modes
-TUNING_MODES = ("model", "spatial", "batched")
+TUNING_MODES = ("model", "spatial")
+
+#: model-mode calibration engines (``tune_population(engine=...)``,
+#: ``RunSpec.tuning_engine``): bit-identical records, production first
+TUNING_ENGINES = ("batched", "serial")
 
 #: per-die outcome labels used in :class:`DieTuningRecord.status`
 DIE_STATUSES = ("ok-unbiased", "recovered", "not-converged", "yield-loss")
@@ -106,12 +110,11 @@ def calibrate_die(controller: TuningController, index: int, beta: float,
                   unbiased_leakage_nw: float) -> DieTuningRecord:
     """One die's trip through the calibration loop, as a pure function.
 
-    This is the unit of work both the serial reference loop and the
-    per-worker chunks of the parallel path execute: the record depends
-    only on ``(beta, beta_budget)`` and the controller's configuration,
-    never on which dies were calibrated before it, which is what makes
-    sharding a population across processes bit-identical to the serial
-    sweep.
+    The unit of work of the ``"serial"`` reference engine: the record
+    depends only on ``(beta, beta_budget)`` and the controller's
+    configuration, never on which dies were calibrated before it, which
+    is what makes sharding a population across processes bit-identical
+    to the in-process sweep.
     """
     if beta <= beta_budget:
         return DieTuningRecord(
@@ -144,7 +147,7 @@ def calibrate_die_spatial(controller: TuningController, index: int,
     field instead of the scalar.  Pure in the same sense as
     :func:`calibrate_die`: the record depends only on the die's field
     and the controller/grid configuration, which is what keeps the
-    parallel sharding bit-identical to the serial sweep.
+    parallel sharding bit-identical to the in-process sweep.
     """
     if beta <= beta_budget:
         return DieTuningRecord(
@@ -164,13 +167,37 @@ def calibrate_die_spatial(controller: TuningController, index: int,
         iterations=outcome.iterations, leakage_nw=outcome.leakage_nw)
 
 
+def _serial_chunk(controller: TuningController,
+                  dies: list[tuple[int, float]], beta_budget: float,
+                  unbiased_leakage_nw: float) -> list[DieTuningRecord]:
+    """The ``"serial"`` engine: :func:`calibrate_die` over each die."""
+    return [calibrate_die(controller, index, beta, beta_budget,
+                          unbiased_leakage_nw)
+            for index, beta in dies]
+
+
+def _spatial_chunk(controller: TuningController, dies: list[tuple],
+                   beta_budget: float, unbiased_leakage_nw: float,
+                   gate_names: Sequence[str], num_regions: int,
+                   replica_sensor: bool) -> list[DieTuningRecord]:
+    """Spatial mode: :func:`calibrate_die_spatial` over each
+    ``(index, beta, scale_row)`` die, on the controller's cached grid."""
+    grid = (controller.replica_sensor_grid(num_regions) if replica_sensor
+            else controller.sensor_grid(num_regions))
+    return [calibrate_die_spatial(controller, index, beta, scale_row,
+                                  gate_names, beta_budget,
+                                  unbiased_leakage_nw, grid)
+            for index, beta, scale_row in dies]
+
+
 def tune_population(controller: TuningController,
                     population: MonteCarloResult,
                     beta_budget: float = 0.0,
                     workers: int = 1,
                     mode: str = "model",
                     num_regions: int = DEFAULT_SENSOR_REGIONS,
-                    replica_sensor: bool = False
+                    replica_sensor: bool = False,
+                    engine: str = "batched"
                     ) -> PopulationTuningSummary:
     """Calibrate every die of a population that misses the beta budget.
 
@@ -187,27 +214,27 @@ def tune_population(controller: TuningController,
     ``(1 + beta) / (1 + budget) - 1``, which is what the controller is
     asked to recover.
 
-    ``workers > 1`` shards the out-of-budget dies into contiguous
-    per-process chunks (via ``repro.flow.parallel``); records are
-    reassembled in die order, so the summary is bit-identical to the
-    serial ``workers=1`` reference path — in every mode.
-
-    ``mode="batched"`` keeps model-mode semantics but advances all slow
-    dies one sense/allocate/verify step per matrix pass
-    (:func:`repro.tuning.batched.calibrate_dies_batched`): the summary
-    — including its recorded ``mode="model"`` — is bit-identical to the
-    per-die path, only faster.  Populations with no out-of-budget dies
-    short-circuit to zero matrix passes (and zero allocations) in both
-    engines.
+    ``engine`` picks how model mode executes: ``"batched"`` advances
+    all slow dies one sense/allocate/verify step per matrix pass
+    (:func:`repro.tuning.batched.calibrate_dies_batched`),
+    ``"serial"`` runs the per-die reference loop; the summaries are
+    bit-identical.  Populations with no out-of-budget dies run zero
+    matrix passes and zero allocations in both engines.
 
     ``mode="spatial"`` calibrates each slow die against its sampled
-    per-gate field through a ``num_regions``-monitor sensor grid; the
-    population must have been sampled with its scale matrix retained
-    (``sample_dies`` keeps it by default).  ``replica_sensor=True``
-    swaps the grid for the classic uniform-sensing baseline — a single
-    replica monitor in the die's central ``1/num_regions`` band, its
-    reading applied die-wide (the comparison arm of the spatial
-    experiments).
+    per-gate field through a ``num_regions``-monitor sensor grid (it
+    has one engine, so ``engine`` does not apply); the population must
+    have been sampled with its scale matrix retained (``sample_dies``
+    keeps it by default).  ``replica_sensor=True`` swaps the grid for
+    the classic uniform-sensing baseline — a single replica monitor in
+    the die's central ``1/num_regions`` band, its reading applied
+    die-wide (the comparison arm of the spatial experiments).
+
+    ``workers > 1`` shards the out-of-budget dies into contiguous
+    per-process chunks (:func:`repro.flow.parallel.shard`), each run by
+    the same chunk calibrator on a rebuilt controller; records are
+    reassembled in die order, so the summary is bit-identical to the
+    in-process ``workers=1`` path.
 
     An empty population is a well-defined no-op: zero records and a
     yield of 1.0 on both sides (regression for the old
@@ -220,95 +247,70 @@ def tune_population(controller: TuningController,
     if mode not in TUNING_MODES:
         raise TuningError(
             f"unknown tuning mode {mode!r}; choose from {TUNING_MODES}")
-    spatial = mode == "spatial"
-    batched = mode == "batched"
-    if spatial and population.scale_matrix is None:
+    if engine not in TUNING_ENGINES:
         raise TuningError(
-            "spatial tuning needs the population's scale matrix "
-            "(sample with store_scales or the default sample_dies path)")
+            f"unknown tuning engine {engine!r}; choose from "
+            f"{TUNING_ENGINES}")
     unbiased = controller.clib_leakage_unbiased()
-    method = controller.method or "heuristic:row-descent"
-    # "batched" is an execution engine for model-mode semantics: the
-    # summary records "model" so it compares equal to the per-die path.
-    summary_mode = "model" if batched else mode
-
-    slow_dies = [(die.index, die.beta) for die in population.samples
-                 if die.beta > beta_budget]
-    grid = None
+    slow = [(die.index, die.beta) for die in population.samples
+            if die.beta > beta_budget]
     regions = None
-    if spatial:
+    if mode == "spatial":
+        if population.scale_matrix is None:
+            raise TuningError(
+                "spatial tuning needs the population's scale matrix "
+                "(sample with store_scales or the default sample_dies "
+                "path)")
         if num_regions < 1:
             raise TuningError(
                 f"need at least one sensor region, got {num_regions}")
-        # The summary's resolution, clamped exactly as the grid clamps
-        # it — computed up front so an all-converged or empty population
-        # never pays for grid construction (its path/incidence matrices)
-        # it will not use.
+        # The summary's resolution, clamped exactly as the grid clamps it.
         regions = (1 if replica_sensor
                    else min(num_regions, controller.placed.num_rows))
-        if slow_dies:
-            grid = (controller.replica_sensor_grid(num_regions)
-                    if replica_sensor
-                    else controller.sensor_grid(num_regions))
-    if not population.samples:
-        return PopulationTuningSummary(
-            records=(), yield_before=1.0, yield_after=1.0,
-            unbiased_leakage_nw=unbiased, method=method, mode=summary_mode,
-            num_regions=regions)
+        slow = [(index, beta, population.scale_matrix[index])
+                for index, beta in slow]
+        calibrate = partial(
+            _spatial_chunk, beta_budget=beta_budget,
+            unbiased_leakage_nw=unbiased,
+            gate_names=population.gate_names,
+            num_regions=num_regions, replica_sensor=replica_sensor)
+    elif engine == "batched":
+        # Lazy import: calibrate_dies_batched imports this module's
+        # record types.
+        from repro.tuning.batched import calibrate_dies_batched
+        calibrate = partial(calibrate_dies_batched, beta_budget=beta_budget,
+                            unbiased_leakage_nw=unbiased)
+    else:
+        calibrate = partial(_serial_chunk, beta_budget=beta_budget,
+                            unbiased_leakage_nw=unbiased)
 
-    def _calibrate(index: int, beta: float) -> DieTuningRecord:
-        if spatial:
-            return calibrate_die_spatial(
-                controller, index, beta, population.scale_matrix[index],
-                population.gate_names, beta_budget, unbiased, grid)
-        return calibrate_die(controller, index, beta, beta_budget,
-                             unbiased)
-
-    if batched:
-        if workers == 1 or len(slow_dies) < 2:
-            # Lazy import: calibrate_dies_batched imports this module's
-            # record types, so the downward reference stays lazy here.
-            from repro.tuning.batched import calibrate_dies_batched
-            tuned = calibrate_dies_batched(controller, slow_dies,
-                                           beta_budget, unbiased)
-        else:
-            from repro.flow.parallel import tune_dies_batched_parallel
-            tuned = tune_dies_batched_parallel(controller, slow_dies,
-                                               beta_budget, workers)
-        by_index = {record.index: record for record in tuned}
-        records = [by_index[die.index] if die.beta > beta_budget
-                   else _calibrate(die.index, die.beta)
-                   for die in population.samples]
-    elif workers == 1 or len(slow_dies) < 2:
-        records = [_calibrate(die.index, die.beta)
-                   for die in population.samples]
+    if not slow:
+        tuned = []
+    elif workers == 1 or len(slow) < 2:
+        tuned = calibrate(controller, slow)
     else:
         # Lazy import: the flow layer sits above tuning in the module
         # graph, so the upward reference stays out of import time.
-        from repro.flow.parallel import (tune_dies_parallel,
-                                         tune_dies_spatial_parallel)
-        if spatial:
-            shard = [(index, beta, population.scale_matrix[index])
-                     for index, beta in slow_dies]
-            tuned = tune_dies_spatial_parallel(
-                controller, shard, population.gate_names, beta_budget,
-                workers, num_regions, replica_sensor)
-        else:
-            tuned = tune_dies_parallel(controller, slow_dies, beta_budget,
-                                       workers)
-        by_index = {record.index: record for record in tuned}
-        records = [by_index[die.index] if die.beta > beta_budget
-                   else _calibrate(die.index, die.beta)
-                   for die in population.samples]
+        from repro.flow.parallel import shard, tune_chunk
+        blueprint = {f.name: getattr(controller, f.name)
+                     for f in fields(controller) if f.init}
+        tuned = shard(partial(tune_chunk, blueprint, calibrate), slow,
+                      workers)
+    by_index = {record.index: record for record in tuned}
+    records = [by_index[die.index] if die.beta > beta_budget
+               else DieTuningRecord(index=die.index, beta=die.beta,
+                                    status="ok-unbiased", iterations=0,
+                                    leakage_nw=unbiased)
+               for die in population.samples]
 
     good_after = sum(1 for record in records
                      if record.status in ("ok-unbiased", "recovered"))
     return PopulationTuningSummary(
         records=tuple(records),
         yield_before=population.timing_yield(beta_budget),
-        yield_after=good_after / len(records),
+        yield_after=good_after / len(records) if records else 1.0,
         unbiased_leakage_nw=unbiased,
-        method=method,
-        mode=summary_mode,
+        method=controller.method,
+        mode=mode,
         num_regions=regions,
     )

@@ -19,8 +19,7 @@ from repro.synth import map_netlist, size_for_load
 from repro.tech import characterize_library, reduced_library
 
 EXPECTED_ENTRIES = ("heuristic:level-sweep", "heuristic:row-descent",
-                    "ilp:branch_bound", "ilp:highs", "ilp:simplex",
-                    "single_bb")
+                    "ilp:branch_bound", "ilp:highs", "single_bb")
 EXPECTED_ALIASES = ("heuristic", "ilp", "ilp:bnb")
 
 LIBRARY = reduced_library()
@@ -124,10 +123,9 @@ class TestRegistryDispatch:
 
     def test_ilp_backends_agree_on_tiny_problem(self, problem_tiny):
         highs = solve(problem_tiny, "ilp:highs", 2)
-        simplex = solve(problem_tiny, "ilp:simplex", 2, time_limit_s=120)
-        assert simplex.method == "ilp-simplex"
-        assert highs.leakage_nw == pytest.approx(simplex.leakage_nw,
-                                                 rel=1e-6)
+        bnb = solve(problem_tiny, "ilp:branch_bound", 2, time_limit_s=120)
+        assert bnb.method == "ilp-branch_bound"
+        assert highs.leakage_nw == pytest.approx(bnb.leakage_nw, rel=1e-6)
 
     def test_heuristic_ranking_opt_forwarded(self, problem_tiny):
         gate_count = solve(problem_tiny, "heuristic", 3,

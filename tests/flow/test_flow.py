@@ -4,8 +4,7 @@ import pytest
 
 from repro.flow import (ExperimentConfig, PopulationConfig, format_population,
                         format_sweep, format_table1, implement,
-                        run_design_beta, run_population,
-                        run_population_study, run_table1)
+                        run_design_beta, run_population)
 
 
 @pytest.fixture(scope="module")
@@ -60,14 +59,13 @@ class TestTable1Harness:
 
     def test_savings_grow_with_beta(self, flow):
         config = ExperimentConfig(betas=(0.05, 0.10))
-        rows = run_table1(("c1355",), config,
-                          flows={"c1355": flow})
+        rows = [run_design_beta(flow, beta, config) for beta in config.betas]
         assert rows[1].heuristic_savings[3] > rows[0].heuristic_savings[3]
         assert rows[1].num_constraints > rows[0].num_constraints
 
     def test_formatting(self, flow):
         config = ExperimentConfig(betas=(0.05,))
-        rows = run_table1(("c1355",), config, flows={"c1355": flow})
+        rows = [run_design_beta(flow, 0.05, config)]
         table = format_table1(rows)
         assert "c1355" in table
         assert "No.Constr" in table
@@ -99,8 +97,7 @@ class TestPopulationHarness:
 
     def test_study_and_formatting(self, flow):
         config = PopulationConfig(num_dies=20, seed=1)
-        rows = run_population_study(("c1355",), config,
-                                    flows={"c1355": flow})
+        rows = [run_population(flow, config)]
         text = format_population(rows)
         assert "c1355" in text
         assert "STA engine: batched" in text

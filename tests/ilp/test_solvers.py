@@ -1,4 +1,4 @@
-"""Tests for the MILP substrate: simplex, branch & bound, HiGHS."""
+"""Tests for the MILP substrate: model, branch & bound, HiGHS."""
 
 import numpy as np
 import pytest
@@ -6,57 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import SolverError
 from repro.ilp import (MilpModel, Sense, Status, solve_branch_bound,
-                       solve_highs, solve_lp)
-
-
-class TestSimplex:
-    def test_simple_lp(self):
-        # min -x - y  s.t. x + y <= 4, x <= 3, y <= 2
-        result = solve_lp([-1, -1], a_ub=[[1, 1]], b_ub=[4],
-                          upper=[3, 2])
-        assert result.status == "optimal"
-        assert result.objective == pytest.approx(-4)
-
-    def test_equality_constraint(self):
-        # min x + y  s.t. x + y == 2
-        result = solve_lp([1, 1], a_eq=[[1, 1]], b_eq=[2])
-        assert result.status == "optimal"
-        assert result.objective == pytest.approx(2)
-
-    def test_infeasible(self):
-        # x <= 1, x >= 2  (as -x <= -2)
-        result = solve_lp([1], a_ub=[[1], [-1]], b_ub=[1, -2])
-        assert result.status == "infeasible"
-
-    def test_unbounded(self):
-        result = solve_lp([-1])
-        assert result.status == "unbounded"
-
-    def test_shifted_lower_bounds(self):
-        # min x with x >= 5
-        result = solve_lp([1], lower=[5], upper=[10])
-        assert result.objective == pytest.approx(5)
-
-    def test_degenerate_redundant_rows(self):
-        result = solve_lp([1, 1], a_eq=[[1, 1], [2, 2]], b_eq=[2, 4])
-        assert result.status == "optimal"
-        assert result.objective == pytest.approx(2)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(2, 5), st.integers(1, 4), st.integers(0, 10 ** 6))
-    def test_matches_scipy_on_random_lps(self, num_vars, num_cons, seed):
-        rng = np.random.default_rng(seed)
-        c = rng.uniform(-1, 1, num_vars)
-        a_ub = rng.uniform(-1, 1, (num_cons, num_vars))
-        b_ub = rng.uniform(0.5, 2.0, num_cons)  # x=0 always feasible
-        upper = np.full(num_vars, 10.0)
-        mine = solve_lp(c, a_ub=a_ub, b_ub=b_ub, upper=upper)
-        from scipy.optimize import linprog
-        ref = linprog(c, A_ub=a_ub, b_ub=b_ub,
-                      bounds=[(0, 10)] * num_vars, method="highs")
-        assert mine.status == "optimal"
-        assert ref.success
-        assert mine.objective == pytest.approx(ref.fun, abs=1e-6)
+                       solve_highs)
 
 
 def knapsack_model() -> MilpModel:
@@ -87,11 +37,6 @@ class TestBranchBound:
     def test_infeasible(self):
         solution = solve_branch_bound(infeasible_model())
         assert solution.status is Status.INFEASIBLE
-
-    def test_with_own_simplex(self):
-        solution = solve_branch_bound(knapsack_model(), use_scipy_lp=False)
-        assert solution.status is Status.OPTIMAL
-        assert solution.objective == pytest.approx(-16)
 
     def test_node_limit_gives_timeout(self):
         model = MilpModel("hard")

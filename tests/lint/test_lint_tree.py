@@ -48,7 +48,7 @@ def test_runspec_hash_fate_declarations_are_exhaustive():
 
 def test_execution_knobs_do_not_perturb_the_hash():
     base = RunSpec(kind="population", design="c1355", seed=7)
-    for knob, value in (("workers", 4), ("tuning_engine", "batched")):
+    for knob, value in (("workers", 4), ("tuning_engine", "serial")):
         assert dataclasses.replace(base, **{knob: value}).spec_hash() \
             == base.spec_hash()
 

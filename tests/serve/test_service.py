@@ -96,6 +96,41 @@ class TestServiceEndpoints:
         assert not stub_execute.calls
         assert stats["endpoints"]["run"]["errors"] == 1
 
+    def test_unknown_solver_method_is_400(self, stub_execute):
+        """Solver names are checked when the spec is built, so a bad
+        method never reaches execution."""
+        import json
+
+        from repro.serve.client import _request
+        body = json.dumps(dict(SPEC.to_dict(), method="nope")).encode()
+        with ServerThread(cache=ArtifactCache()) as srv:
+            with pytest.raises(ServeError, match="HTTP 400.*nope"):
+                _request(f"{srv.url}/run", data=body, method="POST")
+        assert not stub_execute.calls
+
+    def test_unsatisfiable_spec_is_422(self):
+        """A well-formed spec the library cannot satisfy (no bias level
+        recovers a 50% slowdown) gets 422 with the domain error, and
+        still counts as a failed request."""
+        spec = RunSpec(kind="allocate", design="c1355", beta=0.5)
+        with ServerThread(cache=ArtifactCache()) as srv:
+            with pytest.raises(ServeError, match="HTTP 422") as caught:
+                submit_spec(srv.url, spec)
+            stats = fetch_stats(srv.url)
+        assert "InfeasibleError" in str(caught.value)
+        assert stats["endpoints"]["run"]["errors"] == 1
+
+    def test_unexpected_failure_is_still_500(self, monkeypatch):
+        def _broken(spec, cache=None):
+            raise RuntimeError("not a domain error")
+
+        monkeypatch.setattr("repro.api.execute_spec", _broken)
+        with ServerThread(cache=ArtifactCache()) as srv:
+            with pytest.raises(ServeError, match="HTTP 500"):
+                submit_spec(srv.url, SPEC)
+            stats = fetch_stats(srv.url)
+        assert stats["endpoints"]["run"]["errors"] == 1
+
     def test_unknown_endpoint_is_404_and_wrong_method_is_405(
             self, stub_execute):
         from repro.serve.client import _request

@@ -2,6 +2,7 @@
 cache-backed execution, and numerical parity with the direct call paths.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -93,6 +94,59 @@ class TestRunSpec:
         assert RunSpec.from_json(spec.to_json()) == spec
         with pytest.raises(SpecError, match="workers"):
             RunSpec(workers=0)
+
+
+#: RunSpec's float-typed fields, read off the dataclass so that a new
+#: one is covered without editing this test
+FLOAT_FIELDS = tuple(f.name for f in dataclasses.fields(RunSpec)
+                     if "float" in str(f.type))
+
+#: one numeric leaf per override dict (drift's sits one level down)
+OVERRIDE_LEAVES = {
+    "tech": lambda value: {"vth0_n": value},
+    "process": lambda value: {"sigma_intra_v": value},
+    "drift": lambda value: {"nbti": {"prefactor_v": value}},
+}
+
+
+class TestBoundaryValidation:
+    """Non-finite numbers and unknown solver names fail when the spec
+    is built, not deep inside execution."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")], ids=repr)
+    @pytest.mark.parametrize("name", FLOAT_FIELDS + tuple(OVERRIDE_LEAVES))
+    def test_non_finite_numbers_rejected(self, name, value):
+        wrap = OVERRIDE_LEAVES.get(name, lambda v: v)
+        with pytest.raises(SpecError, match="must be finite"):
+            RunSpec(**{name: wrap(value)})
+
+    def test_float_fields_found(self):
+        assert {"beta", "beta_budget", "utilization",
+                "ilp_time_limit_s"} <= set(FLOAT_FIELDS)
+
+    def test_nan_allocate_spec_never_runs(self):
+        """Regression: this spec used to run and report timing_ok with
+        every level 0 and a 0% saving."""
+        with pytest.raises(SpecError, match="beta must be finite"):
+            RunSpec(kind="allocate", design="c1355", beta=float("nan"))
+        with pytest.raises(SpecError, match="beta must be finite"):
+            RunSpec.from_json(
+                '{"kind": "allocate", "design": "c1355", "beta": NaN}')
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(SpecError, match="registered methods"):
+            RunSpec(method="nope")
+
+    def test_unknown_ilp_backend_rejected(self):
+        for backend in ("bogus", "simplex"):
+            with pytest.raises(SpecError, match="ilp_backend"):
+                RunSpec(kind="table1", ilp_backend=backend)
+
+    def test_solver_aliases_accepted(self):
+        assert RunSpec(method="ilp").method == "ilp"
+        assert RunSpec(kind="table1", ilp_backend="bnb").ilp_backend \
+            == "bnb"
 
 
 class TestRunResultRoundTrip:
@@ -310,37 +364,6 @@ class TestSpatialKind:
                      cache=cache)
         with pytest.raises(SpecError, match="not a spatial"):
             result.to_spatial_row()
-
-
-class TestDeprecatedShims:
-    """run_table1 / run_population_study route through the facade."""
-
-    def test_run_table1_shim_warns_and_matches_facade(self, flow):
-        from repro.flow import ExperimentConfig, run_table1
-        config = ExperimentConfig(betas=(0.05,), skip_ilp_above_rows=1)
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            rows = run_table1(("c1355",), config)
-        direct = run_design_beta(flow, 0.05, config)
-        assert len(rows) == 1
-        assert rows[0].heuristic_savings == direct.heuristic_savings
-        assert rows[0].ilp_savings == {2: None, 3: None}
-
-    def test_legacy_flows_path_does_not_warn(self, flow, recwarn):
-        from repro.flow import ExperimentConfig, run_table1
-        config = ExperimentConfig(betas=(0.05,), skip_ilp_above_rows=1)
-        run_table1(("c1355",), config, flows={"c1355": flow})
-        assert not [w for w in recwarn.list
-                    if issubclass(w.category, DeprecationWarning)]
-
-    def test_run_population_study_shim_warns_and_matches_facade(self, flow):
-        from repro.flow import run_population_study
-        config = PopulationConfig(num_dies=15, seed=8)
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            rows = run_population_study(("c1355",), config)
-        direct = run_population(flow, config)
-        assert rows[0].beta_mean == direct.beta_mean
-        assert rows[0].timing_yield == direct.timing_yield
-        assert rows[0].seed == 8
 
 
 class TestGroupingSpecAxis:

@@ -188,12 +188,13 @@ def test_grouping_bench_artifact_documented():
 
 
 #: names of the batched calibration layer that DESIGN.md's "Batched
-#: calibration" section must pin down (ISSUE 6)
-BATCHED_DOC_NAMES = ("Batched calibration", "mode=\"batched\"",
+#: calibration" section must pin down: the production engine, its
+#: serial reference arm and the knob that selects between them
+BATCHED_DOC_NAMES = ("Batched calibration", "engine=\"serial\"",
                      "tuning_engine", "initial_sensor_estimate",
                      "refine", "DEFAULT_REFINE_FALLBACK",
                      "bench_tuning_throughput.py",
-                     "--tuning-engine batched")
+                     "--tuning-engine serial")
 
 
 def test_batched_calibration_documented():
@@ -329,8 +330,8 @@ def test_tutorial_shows_batched_engine():
     """TUTORIAL.md must carry the batched-calibration walkthrough (the
     Python block is executed, the CLI line parser-validated)."""
     text = (REPO_ROOT / "TUTORIAL.md").read_text(encoding="utf-8")
-    assert 'mode="batched"' in text
-    assert "--tuning-engine batched" in text
+    assert 'engine="serial"' in text
+    assert "--tuning-engine serial" in text
 
 
 def test_tutorial_shows_grouping_flag():

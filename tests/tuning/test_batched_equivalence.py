@@ -1,9 +1,10 @@
 """Batched-vs-serial population calibration equivalence harness.
 
-``tune_population(mode="batched")`` is an execution engine, not a new
-experiment: for any population, budget, grouping and worker count its
+``tune_population(engine="batched")``, the model-mode production engine,
+is an execution engine, not a new experiment: for any population,
+budget, grouping and worker count its
 :class:`PopulationTuningSummary` must equal the per-die reference path
-bit for bit (frozen dataclass equality — statuses, iteration counts,
+(``engine="serial"``) bit for bit (frozen dataclass equality — statuses, iteration counts,
 leakage floats and all).  This suite drives that contract over
 randomized populations (seeds, circuits, beta budgets, groupings
 including ``bands:k`` and ``correlation:k``), checks ``workers=N``
@@ -79,10 +80,11 @@ class TestBatchedEquivalence:
         population = sample_dies(_placed(design), 12, seed=seed,
                                  store_scales=False)
         ctl = _controller(design, grouping)
-        serial = tune_population(ctl, population, beta_budget=beta_budget)
+        serial = tune_population(ctl, population, beta_budget=beta_budget,
+                                 engine="serial")
         batched = tune_population(ctl, population,
                                   beta_budget=beta_budget,
-                                  mode="batched")
+                                  engine="batched")
         assert batched == serial  # bit-identical, floats and all
 
     @settings(max_examples=6, deadline=None,
@@ -97,17 +99,17 @@ class TestBatchedEquivalence:
                                  store_scales=False)
         reference = tune_population(controller, population,
                                     beta_budget=beta_budget,
-                                    mode="batched")
+                                    engine="batched")
         sharded = tune_population(controller, population,
                                   beta_budget=beta_budget,
-                                  mode="batched", workers=workers)
+                                  engine="batched", workers=workers)
         assert sharded == reference
 
     def test_summary_records_model_mode(self, placed, controller):
         """Batched is an execution knob: the summary says "model" so it
         compares equal to (and cache-aliases) the per-die path."""
         population = sample_dies(placed, 6, seed=2, store_scales=False)
-        summary = tune_population(controller, population, mode="batched")
+        summary = tune_population(controller, population, engine="batched")
         assert summary.mode == "model"
 
     def test_includes_yield_loss_and_not_converged(self, placed):
@@ -118,16 +120,16 @@ class TestBatchedEquivalence:
         ctl_a = TuningController(placed, CLIB, max_iterations=1)
         ctl_b = TuningController(placed, CLIB, max_iterations=1)
         population = sample_dies(placed, 40, seed=3, store_scales=False)
-        serial = tune_population(ctl_a, population)
-        batched = tune_population(ctl_b, population, mode="batched")
+        serial = tune_population(ctl_a, population, engine="serial")
+        batched = tune_population(ctl_b, population, engine="batched")
         assert serial == batched
         statuses = {record.status for record in serial.records}
         assert "recovered" in statuses or "not-converged" in statuses
 
     def test_record_order_and_indices_preserved(self, placed, controller):
         population = sample_dies(placed, 9, seed=4, store_scales=False)
-        summary = tune_population(controller, population, mode="batched",
-                                  workers=3)
+        summary = tune_population(controller, population,
+                                  engine="batched", workers=3)
         assert [record.index for record in summary.records] \
             == [die.index for die in population.samples]
 
@@ -140,6 +142,11 @@ class TestBatchedEquivalence:
         with pytest.raises(TuningError, match="mode"):
             tune_population(controller, population, mode="bogus")
 
+    def test_unknown_engine_rejected(self, placed, controller):
+        population = sample_dies(placed, 3, seed=0, store_scales=False)
+        with pytest.raises(TuningError, match="engine"):
+            tune_population(controller, population, engine="bogus")
+
 
 class TestShortCircuit:
     """An all-converged or empty out-of-budget set must construct no
@@ -147,16 +154,16 @@ class TestShortCircuit:
 
     def test_empty_population_batched(self, controller):
         empty = MonteCarloResult(samples=(), nominal_delay_ps=100.0)
-        assert tune_population(controller, empty, mode="batched") \
-            == tune_population(controller, empty)
+        assert tune_population(controller, empty, engine="batched") \
+            == tune_population(controller, empty, engine="serial")
 
     def test_empty_dies_list_is_a_no_op(self, placed):
         ctl = TuningController(placed, CLIB)
         assert calibrate_dies_batched(ctl, [], 0.0, 100.0) == []
         assert ctl._batched is None  # sense pass never compiled
 
-    @pytest.mark.parametrize("mode", ["model", "batched"])
-    def test_all_within_budget_builds_no_problem(self, placed, mode,
+    @pytest.mark.parametrize("engine", ["serial", "batched"])
+    def test_all_within_budget_builds_no_problem(self, placed, engine,
                                                  monkeypatch):
         """Regression: every die inside the budget must never reach the
         problem/allocation machinery in either engine."""
@@ -172,10 +179,10 @@ class TestShortCircuit:
                             _forbidden)
         ctl = TuningController(placed, CLIB)
         summary = tune_population(ctl, population, beta_budget=budget,
-                                  mode=mode)
+                                  engine=engine)
         assert all(record.status == "ok-unbiased"
                    for record in summary.records)
-        if mode == "batched":
+        if engine == "batched":
             assert ctl._batched is None  # zero matrix passes
 
     def test_all_within_budget_spatial_builds_no_grid(self, placed):
@@ -219,3 +226,39 @@ class TestShortCircuit:
         records = calibrate_dies_batched(ctl, dies, 0.0, unbiased)
         assert [r.status for r in records] == ["recovered", "recovered"]
         assert [r.iterations for r in records] == [0, 0]
+
+
+class TestEngineSelection:
+    """``tuning_engine="serial"`` stays a distinct reference arm, so a
+    serial-vs-batched comparison compares two different engines."""
+
+    def test_serial_engine_never_reaches_batched(self, monkeypatch):
+        import repro.tuning.batched as batched_module
+        import repro.tuning.population as population_module
+        from repro.api import RunSpec, execute_spec
+        from repro.flow.cache import ArtifactCache
+
+        def _forbidden(*args, **kwargs):
+            raise AssertionError("calibrate_dies_batched reached")
+
+        per_die = []
+        calibrate_die = population_module.calibrate_die
+
+        def _counting(controller, index, *args):
+            per_die.append(index)
+            return calibrate_die(controller, index, *args)
+
+        monkeypatch.setattr(batched_module, "calibrate_dies_batched",
+                            _forbidden)
+        monkeypatch.setattr(population_module, "calibrate_die", _counting)
+        cache = ArtifactCache()
+        spec = RunSpec(kind="population", design="c1355", num_dies=30,
+                       seed=9, tune=True, tuning_engine="serial")
+        payload = execute_spec(spec, cache=cache)
+        assert per_die  # the population has slow dies to calibrate
+        assert len(per_die) == payload["recovered"] + payload["lost"]
+        # The patch is live: the batched arm does reach it.
+        with pytest.raises(AssertionError, match="reached"):
+            execute_spec(RunSpec(**dict(spec.to_dict(),
+                                        tuning_engine="batched")),
+                         cache=cache)

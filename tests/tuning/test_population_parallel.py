@@ -4,10 +4,13 @@ empty-population regressions.
 ``tune_population(workers=1)`` is the reference implementation; the
 sharded ``workers > 1`` path must reassemble records in die order and
 produce a bit-identical :class:`PopulationTuningSummary` (frozen
-dataclass equality, floats and all).  Also pins the two serial-era
-crash bugs the parallel engine exposed: ``ZeroDivisionError`` on an
-empty population and the NaN/`RuntimeWarning` from
-``MonteCarloResult.timing_yield`` on empty betas.
+dataclass equality, floats and all).  The tests here shard the per-die
+``engine="serial"`` reference loop; ``test_batched_equivalence.py``
+and ``test_spatial.py`` shard the batched engine and spatial mode.
+Also pins the two serial-era crash bugs the parallel engine exposed:
+``ZeroDivisionError`` on an empty population and the
+NaN/`RuntimeWarning` from ``MonteCarloResult.timing_yield`` on empty
+betas.
 """
 
 import warnings
@@ -72,28 +75,32 @@ class TestEmptyPopulation:
 class TestSerialParallelEquivalence:
     def test_summaries_bit_identical(self, placed, controller):
         population = sample_dies(placed, 16, seed=2, store_scales=False)
-        serial = tune_population(controller, population)
+        serial = tune_population(controller, population, engine="serial")
         for workers in (2, 4):
             parallel = tune_population(controller, population,
-                                       workers=workers)
+                                       workers=workers, engine="serial")
             assert parallel == serial  # records, yields, floats and all
 
     def test_records_stay_in_die_order(self, placed, controller):
         population = sample_dies(placed, 12, seed=5, store_scales=False)
-        summary = tune_population(controller, population, workers=3)
+        summary = tune_population(controller, population, workers=3,
+                                  engine="serial")
         assert [record.index for record in summary.records] \
             == [die.index for die in population.samples]
 
     def test_more_workers_than_slow_dies(self, placed, controller):
         population = sample_dies(placed, 5, seed=2, store_scales=False)
-        assert tune_population(controller, population, workers=16) \
-            == tune_population(controller, population)
+        assert tune_population(controller, population, workers=16,
+                               engine="serial") \
+            == tune_population(controller, population, engine="serial")
 
     def test_beta_budget_respected_in_parallel(self, placed, controller):
         population = sample_dies(placed, 12, seed=2, store_scales=False)
-        serial = tune_population(controller, population, beta_budget=0.03)
+        serial = tune_population(controller, population, beta_budget=0.03,
+                                 engine="serial")
         parallel = tune_population(controller, population,
-                                   beta_budget=0.03, workers=2)
+                                   beta_budget=0.03, workers=2,
+                                   engine="serial")
         assert parallel == serial
         assert parallel.yield_before == population.timing_yield(0.03)
 
@@ -122,8 +129,8 @@ class TestSerialParallelEquivalence:
         population = sample_dies(placed, 8, seed=seed,
                                  store_scales=False)
         serial = tune_population(controller, population,
-                                 beta_budget=beta_budget)
+                                 beta_budget=beta_budget, engine="serial")
         parallel = tune_population(controller, population,
                                    beta_budget=beta_budget,
-                                   workers=workers)
+                                   workers=workers, engine="serial")
         assert parallel == serial

@@ -133,7 +133,7 @@ class TestPopulationTuning:
     def test_recovered_dies_pay_leakage(self, placed):
         population = sample_dies(placed, 15, seed=2, store_scales=False)
         controller = TuningController(placed, CLIB)
-        summary = controller.calibrate_population(population)
+        summary = tune_population(controller, population)
         if summary.recovered:
             assert summary.mean_recovered_leakage_nw() \
                 > summary.unbiased_leakage_nw
