@@ -15,8 +15,9 @@ Shape assertions (not absolute numbers — see EXPERIMENTS.md):
 
 import pytest
 
+from repro.api import RunSpec
 from repro.circuits import BENCHMARK_NAMES
-from repro.flow import ExperimentConfig, format_table1, run_design_beta
+from repro.flow import format_table1, run_design_beta
 
 #: paper values for reference in the report artefact
 PAPER_TABLE1 = """\
@@ -45,19 +46,17 @@ industrial3    23898   94  10%  23.88u       -     -   25.21 25.21    2867
 
 @pytest.mark.benchmark(group="table1")
 def test_table1_full(benchmark, flow_factory, out_dir):
-    config = ExperimentConfig(
-        betas=(0.05, 0.10),
-        cluster_budgets=(2, 3),
-        ilp_time_limit_s=60.0,
-        skip_ilp_above_rows=70,  # paper: no ILP on industrial2/3
-    )
+    specs = [RunSpec(kind="table1", beta=beta, cluster_budgets=(2, 3),
+                     ilp_time_limit_s=60.0,
+                     skip_ilp_above_rows=70)  # paper: no ILP on industrial2/3
+             for beta in (0.05, 0.10)]
 
     def regenerate():
         rows = []
         for name in BENCHMARK_NAMES:
             flow = flow_factory(name)
-            for beta in config.betas:
-                rows.append(run_design_beta(flow, beta, config))
+            for spec in specs:
+                rows.append(run_design_beta(flow, spec))
         return rows
 
     rows = benchmark.pedantic(regenerate, rounds=1, iterations=1)

@@ -34,8 +34,7 @@ from repro.api import RunResult, RunSpec, run, run_many, solver_names
 from repro.core import (BiasSolution, FBBProblem, build_problem, pass_one,
                         pass_two, registry, solve, solve_heuristic,
                         solve_ilp, solve_single_bb, uniform_solution)
-from repro.flow import (ArtifactCache, ExperimentConfig, FlowResult,
-                        PopulationConfig, PopulationRow, SpatialConfig,
+from repro.flow import (ArtifactCache, FlowResult, PopulationRow,
                         SpatialRow, Table1Row, characterized_library,
                         default_cache, format_cache_stats,
                         format_population, format_spatial, format_table1,
@@ -54,15 +53,12 @@ __all__ = [
     "BiasSolution",
     "CellLibrary",
     "CharacterizedLibrary",
-    "ExperimentConfig",
     "FBBProblem",
     "FlowResult",
-    "PopulationConfig",
     "PopulationRow",
     "RowGrouping",
     "RunResult",
     "RunSpec",
-    "SpatialConfig",
     "SpatialRow",
     "Table1Row",
     "Technology",

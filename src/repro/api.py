@@ -58,9 +58,7 @@ from repro.errors import GroupingError, RegistryError, SpecError
 from repro.flow.cache import (ArtifactCache, canonical_json, content_hash,
                               default_cache)
 from repro.flow.design_flow import FlowResult, implement
-from repro.flow.experiment import (ExperimentConfig, LifetimeConfig,
-                                   LifetimeRow, PopulationConfig,
-                                   PopulationRow, SpatialConfig, SpatialRow,
+from repro.flow.experiment import (LifetimeRow, PopulationRow, SpatialRow,
                                    Table1Row, run_design_beta,
                                    run_lifetime_study, run_population,
                                    run_spatial)
@@ -134,8 +132,9 @@ class RunSpec:
 
     kind: str = "allocate"
     """"allocate" (one solver run), "table1" (one Table 1 row),
-    "population" (one Monte Carlo die-population row) or "spatial"
-    (one spatial-vs-uniform compensation study row)."""
+    "population" (one Monte Carlo die-population row), "spatial" (one
+    spatial-vs-uniform compensation study row) or "lifetime" (one
+    aging-and-re-calibration study row)."""
 
     design: str = "c1355"
     """Benchmark name accepted by :func:`repro.flow.implement`."""
@@ -144,41 +143,65 @@ class RunSpec:
     """Slowdown coefficient (allocate/table1 kinds)."""
 
     method: str = "heuristic:row-descent"
-    """Solver-registry method: the solver for ``allocate``, the
-    heuristic strategy entry for ``table1``, the tuning solver for
-    ``population`` runs with ``tune=True``."""
+    """Solver-registry method: the solver for ``allocate``; the
+    heuristic strategy entry for ``table1`` (which runs every method
+    family); the allocator the tuning controller calibrates with in
+    ``population`` runs with ``tune=True``, ``lifetime`` runs and the
+    spatial arm of ``spatial`` runs (the uniform arm always uses
+    ``single_bb``).  An alias is kept as written, but the content
+    address uses the registry name it resolves to."""
 
     clusters: int = 3
-    """Cluster budget for allocate runs and population tuning."""
+    """Cluster budget of allocate runs, and the tuning controller's
+    rail budget in population, spatial and lifetime runs."""
 
     cluster_budgets: tuple[int, ...] = (2, 3)
     """Table 1 column budgets (table1 kind only)."""
 
     ilp_backend: str = "highs"
-    """MILP backend for the table1 ILP columns."""
+    """MILP backend for the table1 ILP columns (the registry entry
+    ``ilp:<ilp_backend>``; aliases hash as the name they resolve to)."""
 
     ilp_time_limit_s: float | None = 120.0
+    """Time limit of each ILP solve, seconds; a table1 ILP column that
+    times out reports None (the paper's '-')."""
     skip_ilp_above_rows: int | None = None
+    """Leave the table1 ILP columns empty for designs with more rows
+    than this, as the paper reports no ILP results for its largest
+    designs (None = always run the ILP)."""
     seed: int = 0
-    """Monte Carlo sampling seed (population kind)."""
+    """Monte Carlo sampling seed (population, spatial and lifetime
+    kinds); a lifetime run draws its drift trajectory from it too."""
 
     num_dies: int = 1000
+    """Die-population size (population, spatial and lifetime kinds)."""
     engine: str = "batched"
-    """Population STA engine: "batched" or "scalar"."""
+    """STA engine that measures the sampled population: "batched"
+    (vectorized, the default) or "scalar" (the ground-truth engine)."""
 
     tune: bool = False
+    """Run the closed calibration loop on every out-of-budget die
+    (population kind)."""
     beta_budget: float = 0.0
+    """Slowdown the timing spec absorbs unbiased (population, spatial
+    and lifetime kinds): a die meets timing when its slowdown is at
+    most this, and tuning targets Dcrit relaxed by that margin."""
     utilization: float = 0.75
+    """Row utilization the design is placed at."""
     grouping: str = "identity"
     """Bias-domain grouping spec (DESIGN.md, "Bias-domain grouping"):
     ``"identity"`` allocates per row, bit-identical to specs predating
     the field; ``"bands:<k>"``, ``"correlation:<k>"`` and
-    ``"community:<k>"`` solve at ``k`` bias domains.  Part of the
-    content address — except the ``"identity"`` default, which is
-    omitted so existing spec hashes are unchanged."""
+    ``"community:<k>"`` solve at ``k`` bias domains.  It applies to the
+    table1 ILP and heuristic columns (the Single BB baseline is
+    granularity-free by definition) and to the tuning controller, in a
+    spatial run only to the spatial arm (the uniform arm is
+    single-voltage).  Part of the content address — except the
+    ``"identity"`` default, which is omitted so existing spec hashes
+    are unchanged."""
     num_regions: int = 4
-    """Sensor-grid resolution of the spatial arm (spatial kind, and
-    lifetime runs tuned with ``method``-driven spatial sensing)."""
+    """Sensor-grid resolution of the spatial arm of spatial runs, and
+    of lifetime runs with ``mode="spatial"``."""
     epochs: int = 8
     """Service-life epochs of a lifetime run (lifetime kind only)."""
     cadence: int = 1
@@ -205,12 +228,14 @@ class RunSpec:
     process: dict = field(default_factory=dict)
     """ProcessModel field overrides for the sampled population, e.g.
     ``{"correlation_length_fraction": 0.25, "sigma_intra_v": 0.02}``
-    (population and spatial kinds; empty = model defaults)."""
+    (population, spatial and lifetime kinds; empty = model defaults).
+    The correlation length is the spatial study's main axis."""
     workers: int = 1
     """Process-pool width for the run's internal fan-out (population
-    tuning shards its slow dies across this many workers).  An
-    execution knob, not an experiment input: it is excluded from the
-    content address, and results are bit-identical for any value."""
+    and spatial tuning shard their slow dies across this many
+    workers).  An execution knob, not an experiment input: it is
+    excluded from the content address, and results are bit-identical
+    for any value."""
     tuning_engine: str = "batched"
     """Calibration execution engine for tuned population runs:
     ``"batched"`` is the population-at-a-time engine (DESIGN.md,
@@ -279,6 +304,11 @@ class RunSpec:
             except RegistryError as exc:
                 raise SpecError(
                     f"bad {name} {getattr(self, name)!r}: {exc}") from exc
+        if (self.kind == "table1" and not registry.get(
+                self.method).name.startswith("heuristic:")):
+            raise SpecError(
+                f"table1 runs all method families; `method` must name a "
+                f"heuristic strategy entry, got {self.method!r}")
         object.__setattr__(self, "cluster_budgets",
                            tuple(int(c) for c in self.cluster_budgets))
 
@@ -377,10 +407,17 @@ class RunSpec:
         hashes (and their cached artifacts).  The lifetime fields
         (``epochs``, ``cadence``, ``drift``) elide their defaults for
         the same reason.
+
+        ``method`` and ``ilp_backend`` enter as the registry names they
+        resolve to, so a solver alias and its canonical name share one
+        address (``"heuristic"`` hits ``"heuristic:row-descent"``).
         """
         material = self.to_dict()
         for knob in EXECUTION_KNOBS:
             del material[knob]
+        material["method"] = registry.get(self.method).name
+        material["ilp_backend"] = registry.get(
+            f"ilp:{self.ilp_backend}").name.removeprefix("ilp:")
         if material["grouping"] == "identity":
             del material["grouping"]
         if material["epochs"] == 8:
@@ -549,16 +586,6 @@ def _implement_spec(spec: RunSpec, cache: ArtifactCache) -> FlowResult:
                      cache=cache)
 
 
-def _heuristic_strategy(method: str) -> str:
-    """Table 1 runs every method; ``method`` picks the heuristic variant."""
-    name = registry.get(method).name
-    if not name.startswith("heuristic:"):
-        raise SpecError(
-            f"table1 runs all method families; `method` must name a "
-            f"heuristic strategy entry, got {method!r}")
-    return name.split(":", 1)[1]
-
-
 def _execute_allocate(spec: RunSpec, cache: ArtifactCache) -> dict:
     flow = _implement_spec(spec, cache)
     problem = build_problem(flow.placed, flow.clib, spec.beta,
@@ -600,61 +627,13 @@ def _execute_allocate(spec: RunSpec, cache: ArtifactCache) -> dict:
     return payload
 
 
-def _execute_table1(spec: RunSpec, cache: ArtifactCache) -> dict:
-    flow = _implement_spec(spec, cache)
-    config = ExperimentConfig(
-        betas=(spec.beta,),
-        cluster_budgets=spec.cluster_budgets,
-        ilp_backend=spec.ilp_backend,
-        ilp_time_limit_s=spec.ilp_time_limit_s,
-        skip_ilp_above_rows=spec.skip_ilp_above_rows,
-        heuristic_strategy=_heuristic_strategy(spec.method),
-        grouping=spec.grouping)
-    return table1_row_payload(run_design_beta(flow, spec.beta, config))
-
-
-def _execute_population(spec: RunSpec, cache: ArtifactCache) -> dict:
-    flow = _implement_spec(spec, cache)
-    config = PopulationConfig(
-        num_dies=spec.num_dies, seed=spec.seed,
-        model=spec.process_model(), sta_engine=spec.engine,
-        tune=spec.tune, max_clusters=spec.clusters,
-        beta_budget=spec.beta_budget, method=spec.method,
-        workers=spec.workers, grouping=spec.grouping,
-        tuning_engine=spec.tuning_engine)
-    return population_row_payload(run_population(flow, config))
-
-
-def _execute_spatial(spec: RunSpec, cache: ArtifactCache) -> dict:
-    flow = _implement_spec(spec, cache)
-    config = SpatialConfig(
-        num_dies=spec.num_dies, seed=spec.seed,
-        model=spec.process_model(), sta_engine=spec.engine,
-        max_clusters=spec.clusters, beta_budget=spec.beta_budget,
-        method=spec.method, num_regions=spec.num_regions,
-        workers=spec.workers, grouping=spec.grouping)
-    return spatial_row_payload(run_spatial(flow, config))
-
-
-def _execute_lifetime(spec: RunSpec, cache: ArtifactCache) -> dict:
-    flow = _implement_spec(spec, cache)
-    config = LifetimeConfig(
-        num_dies=spec.num_dies, seed=spec.seed,
-        model=spec.process_model(), drift=spec.drift_model(),
-        sta_engine=spec.engine, epochs=spec.epochs,
-        cadence=spec.cadence, max_clusters=spec.clusters,
-        beta_budget=spec.beta_budget, method=spec.method,
-        mode=spec.mode, num_regions=spec.num_regions,
-        grouping=spec.grouping)
-    return lifetime_row_payload(run_lifetime_study(flow, config))
-
-
-_EXECUTORS: dict[str, Callable[[RunSpec, ArtifactCache], dict]] = {
-    "allocate": _execute_allocate,
-    "table1": _execute_table1,
-    "population": _execute_population,
-    "spatial": _execute_spatial,
-    "lifetime": _execute_lifetime,
+#: kind -> (harness over the implemented flow, row -> JSON payload)
+_HARNESSES: dict[str, tuple[Callable[[FlowResult, RunSpec], Any],
+                            Callable[[Any], dict]]] = {
+    "table1": (run_design_beta, table1_row_payload),
+    "population": (run_population, population_row_payload),
+    "spatial": (run_spatial, spatial_row_payload),
+    "lifetime": (run_lifetime_study, lifetime_row_payload),
 }
 
 
@@ -669,7 +648,10 @@ def execute_spec(spec: RunSpec,
     """
     if cache is None:
         cache = default_cache()
-    return _EXECUTORS[spec.kind](spec, cache)
+    if spec.kind == "allocate":
+        return _execute_allocate(spec, cache)
+    harness, encode = _HARNESSES[spec.kind]
+    return encode(harness(_implement_spec(spec, cache), spec))
 
 
 def run(spec: RunSpec, cache: ArtifactCache | None = None,

@@ -8,9 +8,7 @@ from repro.flow.design_flow import (FlowResult, characterized_library,
                                     implement)
 from repro.flow.executor import (ExecutionEngine, InlineBackend,
                                  ProcessPoolBackend, create_backend)
-from repro.flow.experiment import (ExperimentConfig, LifetimeConfig,
-                                   LifetimeRow, PopulationConfig,
-                                   PopulationRow, SpatialConfig, SpatialRow,
+from repro.flow.experiment import (LifetimeRow, PopulationRow, SpatialRow,
                                    Table1Row, run_design_beta,
                                    run_lifetime_study, run_population,
                                    run_spatial)
@@ -26,14 +24,10 @@ from repro.flow.reports import (format_cache_inventory,
 __all__ = [
     "ArtifactCache",
     "ExecutionEngine",
-    "ExperimentConfig",
     "FlowResult",
     "InlineBackend",
-    "LifetimeConfig",
     "LifetimeRow",
-    "PopulationConfig",
     "PopulationRow",
-    "SpatialConfig",
     "ProcessPoolBackend",
     "SpatialRow",
     "SpecFailure",

@@ -38,6 +38,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import os
 import pickle
 import threading
@@ -67,6 +68,9 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, (str, int, bool)) or value is None:
         return value
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise SpecError(
+                f"cannot build a content address from non-finite {value}")
         return value
     if hasattr(value, "item"):  # numpy scalars
         return _jsonable(value.item())
@@ -75,7 +79,11 @@ def _jsonable(value: Any) -> Any:
 
 
 def canonical_json(value: Any) -> str:
-    """Deterministic JSON text: sorted keys, no whitespace drift."""
+    """Deterministic JSON text: sorted keys, no whitespace drift.
+
+    NaN and ±inf raise :class:`~repro.errors.SpecError`: JSON has no
+    spelling for them, so they cannot be part of a content address.
+    """
     return json.dumps(_jsonable(value), sort_keys=True,
                       separators=(",", ":"))
 

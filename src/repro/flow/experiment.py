@@ -15,21 +15,39 @@ central clustered-vs-uniform claim as one experiment row — and the
 **lifetime study**: the same population aged through per-row NBTI drift
 epochs and re-calibrated at a cadence (:mod:`repro.tuning.lifetime`),
 reporting the yield-vs-age trajectory.
+
+Each harness takes an implemented :class:`FlowResult` and the
+:class:`~repro.api.RunSpec` that names the run; the spec's fields (and
+their docstrings) are the only description of the knobs, and its
+constructor the only place they are checked.  ``repro.api`` implements
+the flow the spec names and encodes the returned row as the payload.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.core.problem import FBBProblem, build_problem
 from repro.core.single_bb import solve_single_bb
 from repro.errors import TimeoutError_
 from repro.flow.design_flow import FlowResult
 from repro.grouping import solve_grouped
-from repro.variation.drift import DriftModel
 from repro.variation.montecarlo import sample_dies
 from repro.variation.process import ProcessModel
+
+if TYPE_CHECKING:  # repro.api imports this module
+    from repro.api import RunSpec
+
+#: calibration-iteration budget per die in the spatial study: tester
+#: time is paid per verify pass, so the study uses a production-tight
+#: budget, the same for both arms
+SPATIAL_MAX_ITERATIONS = 4
+
+#: sensing guard band of the spatial study, applied identically to both
+#: arms (see :attr:`repro.tuning.controller.TuningController.sense_guard`)
+SPATIAL_SENSE_GUARD = 0.01
 
 
 @dataclass(frozen=True)
@@ -53,45 +71,27 @@ class Table1Row:
         return "-" if value is None else f"{value:.2f}"
 
 
-@dataclass
-class ExperimentConfig:
-    """Knobs for a Table 1 regeneration run."""
-
-    betas: tuple[float, ...] = (0.05, 0.10)
-    cluster_budgets: tuple[int, ...] = (2, 3)
-    ilp_backend: str = "highs"
-    ilp_time_limit_s: float = 120.0
-    skip_ilp_above_rows: int | None = None
-    """Mimic the paper: no ILP results for the largest designs."""
-    heuristic_strategy: str = "row-descent"
-    grouping: str = "identity"
-    """Bias-domain grouping spec for the ILP/heuristic columns
-    (``"identity"`` = the paper's per-row granularity; the Single BB
-    baseline is granularity-free by definition)."""
-
-
-def run_design_beta(flow: FlowResult, beta: float,
-                    config: ExperimentConfig) -> Table1Row:
-    """One Table 1 row: all methods on one (design, beta) pair."""
+def run_design_beta(flow: FlowResult, spec: RunSpec) -> Table1Row:
+    """One Table 1 row: all methods on ``flow`` at ``spec.beta``."""
     problem: FBBProblem = build_problem(
-        flow.placed, flow.clib, beta,
+        flow.placed, flow.clib, spec.beta,
         analyzer=flow.analyzer, paths=list(flow.paths),
         dcrit_ps=flow.dcrit_ps)
     baseline = solve_single_bb(problem)
 
     ilp_savings: dict[int, float | None] = {}
     ilp_runtime = 0.0
-    skip_ilp = (config.skip_ilp_above_rows is not None
-                and problem.num_rows > config.skip_ilp_above_rows)
-    for clusters in config.cluster_budgets:
+    skip_ilp = (spec.skip_ilp_above_rows is not None
+                and problem.num_rows > spec.skip_ilp_above_rows)
+    for clusters in spec.cluster_budgets:
         if skip_ilp:
             ilp_savings[clusters] = None
             continue
         try:
             solution = solve_grouped(
-                problem, f"ilp:{config.ilp_backend}", clusters,
-                grouping=config.grouping, placed=flow.placed,
-                time_limit_s=config.ilp_time_limit_s)
+                problem, f"ilp:{spec.ilp_backend}", clusters,
+                grouping=spec.grouping, placed=flow.placed,
+                time_limit_s=spec.ilp_time_limit_s)
             ilp_savings[clusters] = solution.savings_vs(baseline.leakage_nw)
             ilp_runtime += solution.runtime_s
         except TimeoutError_:
@@ -99,10 +99,10 @@ def run_design_beta(flow: FlowResult, beta: float,
 
     heuristic_savings: dict[int, float] = {}
     heuristic_runtime = 0.0
-    for clusters in config.cluster_budgets:
+    for clusters in spec.cluster_budgets:
         solution = solve_grouped(
-            problem, f"heuristic:{config.heuristic_strategy}", clusters,
-            grouping=config.grouping, placed=flow.placed)
+            problem, spec.method, clusters,
+            grouping=spec.grouping, placed=flow.placed)
         heuristic_savings[clusters] = solution.savings_vs(
             baseline.leakage_nw)
         heuristic_runtime += solution.runtime_s
@@ -111,7 +111,7 @@ def run_design_beta(flow: FlowResult, beta: float,
         design=flow.name,
         gates=flow.num_gates,
         rows=flow.num_rows,
-        beta=beta,
+        beta=spec.beta,
         single_bb_uw=baseline.leakage_uw,
         ilp_savings=ilp_savings,
         heuristic_savings=heuristic_savings,
@@ -119,35 +119,6 @@ def run_design_beta(flow: FlowResult, beta: float,
         ilp_runtime_s=ilp_runtime,
         heuristic_runtime_s=heuristic_runtime,
     )
-
-
-@dataclass
-class PopulationConfig:
-    """Knobs for a Monte Carlo die-population study."""
-
-    num_dies: int = 1000
-    seed: int = 0
-    model: ProcessModel | None = None
-    sta_engine: str = "batched"
-    """"batched" (vectorized, default) or "scalar" (ground truth)."""
-    tune: bool = False
-    """Run the closed calibration loop on every out-of-budget die."""
-    max_clusters: int = 3
-    beta_budget: float = 0.0
-    method: str = "heuristic:row-descent"
-    """Solver-registry method the tuning controller allocates with."""
-    workers: int = 1
-    """Process-pool width for sharding the tuning loop across the
-    population's slow dies (1 = the serial reference path)."""
-    grouping: str = "identity"
-    """Bias-domain grouping the tuning controller allocates at
-    (``"identity"`` = per-row, the pre-grouping behaviour)."""
-    tuning_engine: str = "batched"
-    """Calibration execution engine (``repro.tuning.TUNING_ENGINES``):
-    ``"batched"`` advances all slow dies one sense/allocate/verify step
-    per matrix pass (:mod:`repro.tuning.batched`), ``"serial"`` runs
-    the per-die reference loop with bit-identical results.  An
-    execution knob like ``workers``, not an experiment input."""
 
 
 @dataclass(frozen=True)
@@ -173,33 +144,29 @@ class PopulationRow:
     """Sampling seed the population was drawn with (reproducibility)."""
 
 
-def run_population(flow: FlowResult,
-                   config: PopulationConfig | None = None) -> PopulationRow:
-    """Sample (and optionally tune) one design's die population."""
-    if config is None:
-        config = PopulationConfig()
+def run_population(flow: FlowResult, spec: RunSpec) -> PopulationRow:
+    """Sample (and, with ``spec.tune``, tune) ``flow``'s die population."""
     started = time.perf_counter()
-    population = sample_dies(flow.placed, config.num_dies,
-                             model=config.model, seed=config.seed,
-                             engine=config.sta_engine,
-                             store_scales=False)
+    population = sample_dies(flow.placed, spec.num_dies,
+                             model=spec.process_model(), seed=spec.seed,
+                             engine=spec.engine, store_scales=False)
     sample_runtime = time.perf_counter() - started
 
     tuned_yield = None
     recovered = 0
     lost = 0
     tune_runtime = 0.0
-    if config.tune:
+    if spec.tune:
         from repro.tuning.controller import TuningController
         from repro.tuning.population import tune_population
         started = time.perf_counter()
         controller = TuningController(flow.placed, flow.clib,
-                                      max_clusters=config.max_clusters,
-                                      method=config.method,
-                                      grouping=config.grouping)
+                                      max_clusters=spec.clusters,
+                                      method=spec.method,
+                                      grouping=spec.grouping)
         summary = tune_population(
-            controller, population, beta_budget=config.beta_budget,
-            workers=config.workers, engine=config.tuning_engine)
+            controller, population, beta_budget=spec.beta_budget,
+            workers=spec.workers, engine=spec.tuning_engine)
         tune_runtime = time.perf_counter() - started
         tuned_yield = summary.yield_after
         recovered = summary.recovered
@@ -210,49 +177,20 @@ def run_population(flow: FlowResult,
         design=flow.name,
         gates=flow.num_gates,
         rows=flow.num_rows,
-        num_dies=config.num_dies,
+        num_dies=spec.num_dies,
         nominal_delay_ps=population.nominal_delay_ps,
         beta_mean=float(betas.mean()),
         beta_std=float(betas.std()),
         beta_max=float(betas.max()),
-        timing_yield=population.timing_yield(config.beta_budget),
-        sta_engine=config.sta_engine,
+        timing_yield=population.timing_yield(spec.beta_budget),
+        sta_engine=spec.engine,
         sample_runtime_s=sample_runtime,
         tuned_yield=tuned_yield,
         recovered=recovered,
         lost=lost,
         tune_runtime_s=tune_runtime,
-        seed=config.seed,
+        seed=spec.seed,
     )
-
-
-@dataclass
-class SpatialConfig:
-    """Knobs for a spatial-vs-uniform compensation study."""
-
-    num_dies: int = 200
-    seed: int = 0
-    model: ProcessModel | None = None
-    """Process model the population is drawn from (None = defaults);
-    its ``correlation_length_fraction`` is the study's main axis."""
-    sta_engine: str = "batched"
-    max_clusters: int = 3
-    beta_budget: float = 0.0
-    method: str = "heuristic:row-descent"
-    """Allocator of the spatial arm (the uniform arm uses single_bb)."""
-    num_regions: int = 4
-    """Sensor-grid resolution of the spatial arm."""
-    grouping: str = "identity"
-    """Bias-domain grouping of the spatial arm's allocator (the uniform
-    arm is single-voltage, so granularity does not apply to it)."""
-    max_iterations: int = 4
-    """Calibration-iteration budget per die (tester time is paid per
-    verify pass, so the study uses a production-tight budget; both arms
-    get the same one)."""
-    sense_guard: float = 0.01
-    """Sensing guard band applied identically to both arms (see
-    :class:`repro.tuning.controller.TuningController.sense_guard`)."""
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -290,39 +228,37 @@ class SpatialRow:
     tune_runtime_s: float
 
 
-def run_spatial(flow: FlowResult,
-                config: SpatialConfig | None = None) -> SpatialRow:
-    """Run the spatial-vs-uniform study on one design's population."""
+def run_spatial(flow: FlowResult, spec: RunSpec) -> SpatialRow:
+    """Run the spatial-vs-uniform study on ``flow``'s die population."""
     from repro.tuning.controller import TuningController
     from repro.tuning.population import tune_population
 
-    if config is None:
-        config = SpatialConfig()
-    model = config.model if config.model is not None else ProcessModel()
+    model = spec.process_model()
+    if model is None:
+        model = ProcessModel()
     started = time.perf_counter()
-    population = sample_dies(flow.placed, config.num_dies,
-                             model=model, seed=config.seed,
-                             engine=config.sta_engine,
-                             store_scales=False)
+    population = sample_dies(flow.placed, spec.num_dies,
+                             model=model, seed=spec.seed,
+                             engine=spec.engine, store_scales=False)
     sample_runtime = time.perf_counter() - started
 
     started = time.perf_counter()
     spatial_controller = TuningController(
-        flow.placed, flow.clib, max_clusters=config.max_clusters,
-        method=config.method, max_iterations=config.max_iterations,
-        sense_guard=config.sense_guard, grouping=config.grouping)
+        flow.placed, flow.clib, max_clusters=spec.clusters,
+        method=spec.method, max_iterations=SPATIAL_MAX_ITERATIONS,
+        sense_guard=SPATIAL_SENSE_GUARD, grouping=spec.grouping)
     spatial = tune_population(
-        spatial_controller, population, beta_budget=config.beta_budget,
-        workers=config.workers, mode="spatial",
-        num_regions=config.num_regions)
+        spatial_controller, population, beta_budget=spec.beta_budget,
+        workers=spec.workers, mode="spatial",
+        num_regions=spec.num_regions)
     uniform_controller = TuningController(
-        flow.placed, flow.clib, max_clusters=config.max_clusters,
-        method="single_bb", max_iterations=config.max_iterations,
-        sense_guard=config.sense_guard)
+        flow.placed, flow.clib, max_clusters=spec.clusters,
+        method="single_bb", max_iterations=SPATIAL_MAX_ITERATIONS,
+        sense_guard=SPATIAL_SENSE_GUARD)
     uniform = tune_population(
-        uniform_controller, population, beta_budget=config.beta_budget,
-        workers=config.workers, mode="spatial",
-        num_regions=config.num_regions, replica_sensor=True)
+        uniform_controller, population, beta_budget=spec.beta_budget,
+        workers=spec.workers, mode="spatial",
+        num_regions=spec.num_regions, replica_sensor=True)
     tune_runtime = time.perf_counter() - started
 
     both = [(s.leakage_nw, u.leakage_nw)
@@ -336,12 +272,12 @@ def run_spatial(flow: FlowResult,
         design=flow.name,
         gates=flow.num_gates,
         rows=flow.num_rows,
-        num_dies=config.num_dies,
-        num_regions=spatial.num_regions or config.num_regions,
-        seed=config.seed,
+        num_dies=spec.num_dies,
+        num_regions=spatial.num_regions or spec.num_regions,
+        seed=spec.seed,
         correlation_length=model.correlation_length_fraction,
-        beta_budget=config.beta_budget,
-        yield_before=population.timing_yield(config.beta_budget),
+        beta_budget=spec.beta_budget,
+        yield_before=population.timing_yield(spec.beta_budget),
         spatial_yield=spatial.yield_after,
         uniform_yield=uniform.yield_after,
         spatial_recovered=spatial.recovered,
@@ -353,33 +289,6 @@ def run_spatial(flow: FlowResult,
         sample_runtime_s=sample_runtime,
         tune_runtime_s=tune_runtime,
     )
-
-
-@dataclass
-class LifetimeConfig:
-    """Knobs for a lifetime aging-and-recalibration study."""
-
-    num_dies: int = 200
-    seed: int = 0
-    """Sampling seed; also drives the drift trajectory."""
-    model: ProcessModel | None = None
-    drift: DriftModel | None = None
-    """Per-row aging drift process (None = :class:`DriftModel`
-    defaults)."""
-    sta_engine: str = "batched"
-    epochs: int = 8
-    """Service-life epochs the population ages through."""
-    cadence: int = 1
-    """Re-calibrate every ``cadence`` epochs (1 = every epoch,
-    ``epochs`` = tune once at time zero and coast)."""
-    max_clusters: int = 3
-    beta_budget: float = 0.0
-    method: str = "heuristic:row-descent"
-    mode: str = "model"
-    """Lifetime calibration mode: "model" (scalar die-wide derate) or
-    "spatial" (per-region sensing of the composed field)."""
-    num_regions: int = 4
-    grouping: str = "identity"
 
 
 @dataclass(frozen=True)
@@ -415,42 +324,39 @@ class LifetimeRow:
     tune_runtime_s: float
 
 
-def run_lifetime_study(flow: FlowResult,
-                       config: LifetimeConfig | None = None) -> LifetimeRow:
-    """Age one design's die population and re-tune it at a cadence."""
+def run_lifetime_study(flow: FlowResult, spec: RunSpec) -> LifetimeRow:
+    """Age ``flow``'s die population and re-tune it at a cadence."""
     from repro.tuning.controller import TuningController
     from repro.tuning.lifetime import run_lifetime
 
-    if config is None:
-        config = LifetimeConfig()
     started = time.perf_counter()
-    population = sample_dies(flow.placed, config.num_dies,
-                             model=config.model, seed=config.seed,
-                             engine=config.sta_engine)
+    population = sample_dies(flow.placed, spec.num_dies,
+                             model=spec.process_model(), seed=spec.seed,
+                             engine=spec.engine)
     sample_runtime = time.perf_counter() - started
 
     controller = TuningController(flow.placed, flow.clib,
-                                  max_clusters=config.max_clusters,
-                                  method=config.method,
-                                  grouping=config.grouping)
+                                  max_clusters=spec.clusters,
+                                  method=spec.method,
+                                  grouping=spec.grouping)
     summary = run_lifetime(
-        controller, population, config.drift,
-        epochs=config.epochs, cadence=config.cadence,
-        beta_budget=config.beta_budget, mode=config.mode,
-        num_regions=config.num_regions, seed=config.seed)
+        controller, population, spec.drift_model(),
+        epochs=spec.epochs, cadence=spec.cadence,
+        beta_budget=spec.beta_budget, mode=spec.mode,
+        num_regions=spec.num_regions, seed=spec.seed)
     curve = summary.yield_curve()
     return LifetimeRow(
         design=flow.name,
         gates=flow.num_gates,
         rows=flow.num_rows,
-        num_dies=config.num_dies,
-        epochs=config.epochs,
-        cadence=config.cadence,
+        num_dies=spec.num_dies,
+        epochs=spec.epochs,
+        cadence=spec.cadence,
         epoch_years=summary.epoch_years,
-        mode=config.mode,
-        beta_budget=config.beta_budget,
-        seed=config.seed,
-        grouping=config.grouping,
+        mode=spec.mode,
+        beta_budget=spec.beta_budget,
+        seed=spec.seed,
+        grouping=spec.grouping,
         recalibrations=summary.recalibrations,
         initial_yield=curve[0],
         final_yield=summary.final_yield,

@@ -1,17 +1,11 @@
 """Netlist statistics used in reports and experiment tables (the
-gates/depth columns of the paper's Table 1), plus the placed-design
-summary (rows, utilization and total wirelength — the physical side of
-the same table)."""
+gates/depth columns of the paper's Table 1)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.netlist.core import Netlist
-
-if TYPE_CHECKING:  # placement imports netlist; avoid the cycle at runtime
-    from repro.placement.placed_design import PlacedDesign
 
 
 @dataclass(frozen=True)
@@ -46,46 +40,6 @@ class NetlistStats:
                           for fn, count in self.function_histogram.items())
         lines.append(f"  functions      {parts}")
         return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class PlacementStats:
-    """Physical summary of one placed design."""
-
-    name: str
-    num_gates: int
-    num_rows: int
-    total_hpwl_um: float
-    mean_row_utilization: float
-
-    def format(self) -> str:
-        """Human-readable multi-line summary."""
-        return "\n".join([
-            f"placement {self.name}:",
-            f"  gates          {self.num_gates}",
-            f"  rows           {self.num_rows}",
-            f"  wirelength     {self.total_hpwl_um:.1f} um (HPWL)",
-            f"  utilization    {self.mean_row_utilization:.1%} mean/row",
-        ])
-
-
-def placement_stats(design: "PlacedDesign") -> PlacementStats:
-    """Compute :class:`PlacementStats` for a placed design.
-
-    Wirelength comes from the vectorized
-    :func:`repro.placement.hpwl.total_hpwl` kernel (imported lazily:
-    placement depends on netlist, not the other way around).
-    """
-    from repro.placement.hpwl import total_hpwl
-    used_sites = sum(p.width_sites for p in design.placements.values())
-    total_sites = design.floorplan.total_sites()
-    return PlacementStats(
-        name=design.netlist.name,
-        num_gates=design.netlist.num_gates,
-        num_rows=design.num_rows,
-        total_hpwl_um=total_hpwl(design),
-        mean_row_utilization=used_sites / total_sites,
-    )
 
 
 def netlist_stats(netlist: Netlist) -> NetlistStats:

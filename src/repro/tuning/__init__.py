@@ -1,14 +1,12 @@
 """Post-silicon tuning (paper Sec. 3.1, Fig. 2): sensors, bias
 generator, closed-loop controller, and wafer-scale population
-calibration — including the spatial per-region compensation mode, the
-epoch-based lifetime re-calibration loop and the incremental ECO
-re-solver behind it."""
+calibration — including the spatial per-region compensation mode and
+the epoch-based lifetime re-calibration loop, whose epochs reuse each
+other's allocations through the controller."""
 
 from repro.tuning.batched import calibrate_dies_batched
 from repro.tuning.controller import (DEFAULT_SENSOR_REGIONS,
                                      TuningController, TuningOutcome)
-from repro.tuning.eco import (DEFAULT_QUANT_STEP, EcoResult, EcoSolver,
-                              quantise_betas)
 from repro.tuning.generator import BodyBiasGenerator
 from repro.tuning.lifetime import (LIFETIME_MODES, EpochOutcome,
                                    LifetimeSummary, run_lifetime)
@@ -16,23 +14,17 @@ from repro.tuning.population import (DIE_STATUSES, TUNING_ENGINES,
                                      TUNING_MODES, DieTuningRecord,
                                      PopulationTuningSummary, calibrate_die,
                                      calibrate_die_spatial, tune_population)
-from repro.tuning.sensors import (InSituMonitor, PathReplicaSensor,
-                                  PopulationMonitor, SpatialSensorGrid)
+from repro.tuning.sensors import InSituMonitor, SpatialSensorGrid
 
 __all__ = [
     "BodyBiasGenerator",
-    "DEFAULT_QUANT_STEP",
     "DEFAULT_SENSOR_REGIONS",
     "DIE_STATUSES",
     "DieTuningRecord",
-    "EcoResult",
-    "EcoSolver",
     "EpochOutcome",
     "InSituMonitor",
     "LIFETIME_MODES",
     "LifetimeSummary",
-    "PathReplicaSensor",
-    "PopulationMonitor",
     "PopulationTuningSummary",
     "SpatialSensorGrid",
     "TUNING_ENGINES",
@@ -42,7 +34,6 @@ __all__ = [
     "calibrate_die",
     "calibrate_die_spatial",
     "calibrate_dies_batched",
-    "quantise_betas",
     "run_lifetime",
     "tune_population",
 ]

@@ -12,9 +12,10 @@ grouping.  This engine exploits both collisions:
 1. **Sense** — one batched-STA sweep classifies every out-of-budget die
    (no alarm unbiased -> converged with zero iterations), and each
    remaining die gets its quantised estimate.
-2. **Allocate** — solve once per *distinct* estimate this pass, through
-   a cache shared across passes (bumped estimates stay on the grid, so
-   pass ``p+1`` mostly re-reads pass ``p``'s solutions).
+2. **Allocate** — solve once per *distinct* estimate, through the
+   controller's ``allocations`` cache, which outlives the call (bumped
+   estimates stay on the grid, so pass ``p+1`` mostly re-reads pass
+   ``p``'s solutions, and each lifetime epoch re-reads the last's).
 3. **Apply** — stack the per-estimate scale rows into the population's
    ``(dies, gates)`` bias matrix.
 4. **Verify** — one :class:`~repro.sta.batched.BatchedTimingAnalyzer`
@@ -63,7 +64,8 @@ def calibrate_dies_batched(controller: TuningController,
 
     ``scales_out``, when given, is filled with each die's *applied* bias
     row (the :meth:`~TuningController.scale_row_of` vector of the last
-    programmed solution, in the batched engine's gate order) — ``None``
+    programmed solution, in the batched engine's gate order; read-only,
+    because the controller's allocation cache shares it) — ``None``
     for dies that ended up unbiased (within budget, recovered at pass 0,
     or beyond FBB range).  The lifetime engine uses this to carry each
     die's programmed bias forward between re-calibrations; the records
@@ -117,10 +119,10 @@ def calibrate_dies_batched(controller: TuningController,
 
     estimates = {index: controller.initial_sensor_estimate(effective[index])
                  for index in active}
-    # Allocation cache shared across passes: estimate -> (scale row,
-    # leakage) or None when infeasible at that estimate.  Bumped
-    # estimates stay on the beta_step grid, so later passes mostly hit.
-    solved: dict[float, tuple[np.ndarray, float] | None] = {}
+    # The controller's allocation cache, shared across passes and calls:
+    # bumped estimates stay on the beta_step grid, so later passes (and
+    # later lifetime epochs) mostly hit.
+    solved = controller.allocations
     prev_position: dict[int, int] = {}
     prev_arrival: np.ndarray | None = None
     prev_scales: np.ndarray | None = None
@@ -143,8 +145,9 @@ def calibrate_dies_batched(controller: TuningController,
                 except TuningError:
                     solved[value] = None
                 else:
-                    solved[value] = (controller.scale_row_of(solution),
-                                     solution.leakage_nw)
+                    row = controller.scale_row_of(solution)
+                    row.flags.writeable = False
+                    solved[value] = (row, solution.leakage_nw)
         still = []
         for index in active:
             if solved[estimates[index]] is None:

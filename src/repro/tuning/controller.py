@@ -121,6 +121,14 @@ class TuningController:
         self._groupings: dict[str, RowGrouping] = {}
         self._batched = None
         self._gate_rows: np.ndarray | None = None
+        # Batched calibration's allocations, kept for the controller's
+        # lifetime: estimate -> (read-only scale row, leakage), or None
+        # when infeasible at that estimate.  An allocation is a pure
+        # function of the estimate and this configuration, which never
+        # changes after construction, so every later call (each
+        # lifetime epoch included) reuses it exactly.  Not a dataclass
+        # field, so the pool workers' rebuilt controllers start empty.
+        self.allocations: dict[float, tuple[np.ndarray, float] | None] = {}
 
     # -- bias-domain grouping ---------------------------------------------
 

@@ -1,11 +1,7 @@
 """On-die timing sensors (paper Sec. 3.1).
 
-Three sensing styles from the literature the paper builds on:
+Two sensing models from the literature the paper builds on:
 
-* :class:`PathReplicaSensor` — a replica of the critical path placed in
-  the block (Teodorescu et al. [5]); it reports the replica's measured
-  delay under the die's actual slowdown and the currently applied bias,
-  and raises a timing alarm when the delay exceeds ``Tcrit``.
 * :class:`InSituMonitor` — flip-flop-embedded transition detectors
   (Mitra [3]); modelled as a full-STA check that flags any endpoint
   whose degraded arrival lands inside the detection window before
@@ -16,10 +12,12 @@ Three sensing styles from the literature the paper builds on:
   cluster senses its neighbourhood's slowdown; the grid turns one
   sampled per-gate delay-scale field into per-region (and per-row)
   slowdown estimates, and localizes timing alarms back to regions.
-  ``num_regions=1`` degenerates to the classic single die-wide sensor —
-  the uniform-biasing baseline the spatial experiments compare against.
+  A 1-region grid that senses only the die's central band is the
+  classic critical-path replica (Teodorescu et al. [5]) — the
+  uniform-biasing baseline the spatial experiments compare against
+  (:meth:`repro.tuning.controller.TuningController.replica_sensor_grid`).
 
-All are simulation models: they answer the question the silicon sensor
+Both are simulation models: they answer the question the silicon sensor
 would answer, given a die state (slowdown + bias assignment).
 """
 
@@ -34,55 +32,11 @@ from scipy.sparse import csr_matrix
 
 from repro.errors import TuningError
 from repro.placement.placed_design import PlacedDesign
-from repro.sta.batched import BatchedTimingAnalyzer
 from repro.sta.engine import TimingAnalyzer
 from repro.sta.paths import TimingPath
 
 if TYPE_CHECKING:  # grouping sits above the sensor layer: no runtime dep
     from repro.grouping.domains import RowGrouping
-
-
-@dataclass
-class PathReplicaSensor:
-    """Critical-path replica with a delay comparator."""
-
-    replica: TimingPath
-    tcrit_ps: float
-    guard_band: float = 0.0
-    """Comparator margin: alarm when delay > Tcrit * (1 - guard_band).
-
-    Zero by default: the replica *is* the critical path, so its nominal
-    delay sits exactly at Tcrit and any positive guard band would alarm
-    on a perfectly good die.  Set a small positive value when the
-    replica is a shorter calibration path.
-    """
-
-    def __post_init__(self) -> None:
-        if self.tcrit_ps <= 0:
-            raise TuningError("Tcrit must be positive")
-        if not 0 <= self.guard_band < 1:
-            raise TuningError("guard band must be in [0, 1)")
-
-    def measured_delay_ps(self, die_slowdown: float,
-                          bias_scale: float = 1.0) -> float:
-        """Replica delay under a die slowdown and an applied bias scale."""
-        if die_slowdown < 0:
-            raise TuningError("die slowdown cannot be negative")
-        gates = sum(self.replica.gate_delays_ps)
-        return (gates * (1.0 + die_slowdown) * bias_scale
-                + self.replica.setup_ps)
-
-    def alarm(self, die_slowdown: float, bias_scale: float = 1.0) -> bool:
-        """True when the replica fails the guard-banded comparator."""
-        threshold = self.tcrit_ps * (1.0 - self.guard_band)
-        return self.measured_delay_ps(die_slowdown, bias_scale) > threshold
-
-    def estimate_slowdown(self, measured_ps: float) -> float:
-        """Invert a measurement into a slowdown estimate (no bias)."""
-        gates = sum(self.replica.gate_delays_ps)
-        if gates <= 0:
-            raise TuningError("replica has no gate delay")
-        return max((measured_ps - self.replica.setup_ps) / gates - 1.0, 0.0)
 
 
 @dataclass
@@ -109,70 +63,6 @@ class InSituMonitor:
         if alarm:
             self.alarms_raised += 1
         return alarm
-
-    def failing_endpoints(self, die_slowdown: float,
-                          scales: Mapping[str, float] | None = None
-                          ) -> list[str]:
-        """Names of endpoints inside the alarm window (for diagnostics)."""
-        report = self.analyzer.analyze(scales, derate=1.0 + die_slowdown)
-        threshold = self.tcrit_ps - self.detection_window_ps
-        return [endpoint.name
-                for endpoint, delay in report.endpoint_delay_ps.items()
-                if delay > threshold]
-
-
-@dataclass
-class PopulationMonitor:
-    """In-situ monitors over a whole die population (batched-STA model).
-
-    The wafer-scale view of :class:`InSituMonitor`: one vectorized STA
-    sweep answers, for every die at once, "would this die's monitors
-    alarm?".  This is the sense step the tuning loops use on Monte
-    Carlo populations (see DESIGN.md, "Scaling to die populations").
-    """
-
-    batched: BatchedTimingAnalyzer
-    tcrit_ps: float
-    detection_window_ps: float = 0.0
-    alarms_raised: int = field(default=0, init=False)
-    _nominal_ps: float | None = field(default=None, init=False)
-
-    def __post_init__(self) -> None:
-        if self.tcrit_ps <= 0:
-            raise TuningError("Tcrit must be positive")
-        if self.detection_window_ps < 0:
-            raise TuningError("detection window cannot be negative")
-
-    def check_population(self, die_slowdowns: np.ndarray,
-                         scale_matrix: np.ndarray | None = None
-                         ) -> np.ndarray:
-        """Per-die alarm flags for a population in one batched STA pass.
-
-        ``die_slowdowns`` is the per-die beta vector; ``scale_matrix``
-        the applied bias scales, (num_dies, num_gates) in the batched
-        engine's gate order (None = unbiased dies).
-        """
-        betas = np.asarray(die_slowdowns, dtype=float)
-        if betas.ndim != 1:
-            raise TuningError("die_slowdowns must be a 1-D beta vector")
-        if np.any(betas < 0):
-            raise TuningError("die slowdown cannot be negative")
-        criticals = self.batched.critical_delays(scale_matrix,
-                                                 derate=1.0 + betas)
-        alarms = criticals > self.tcrit_ps - self.detection_window_ps
-        self.alarms_raised += int(alarms.sum())
-        return alarms
-
-    def measured_betas(self, scale_matrix: np.ndarray,
-                       nominal_delay_ps: float | None = None) -> np.ndarray:
-        """Per-die slowdown estimates from one batched measurement."""
-        criticals = self.batched.critical_delays(scale_matrix)
-        if nominal_delay_ps is None:
-            if self._nominal_ps is None:
-                # nominal Dcrit is a design constant: measure it once
-                self._nominal_ps = self.batched.analyzer.critical_delay_ps()
-            nominal_delay_ps = self._nominal_ps
-        return criticals / nominal_delay_ps - 1.0
 
 
 class SpatialSensorGrid:

@@ -8,6 +8,7 @@ The artifact cache keys on the full technology content instead.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.errors import SpecError
@@ -40,6 +41,26 @@ class TestContentHash:
     def test_unhashable_material_rejected(self):
         with pytest.raises(SpecError):
             content_hash({"f": object()})
+
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), float("-inf"),
+        np.float64("nan"), np.float32("inf"), np.float32("-inf"),
+    ], ids=repr)
+    @pytest.mark.parametrize("wrap", [
+        lambda v: v,
+        lambda v: {"a": [1, {"b": (2.0, v)}]},
+    ], ids=["plain", "nested"])
+    def test_non_finite_floats_rejected(self, value, wrap):
+        """JSON has no spelling for NaN or +-inf: canonical_json used to
+        write a bare ``NaN`` into the content address."""
+        with pytest.raises(SpecError, match="non-finite"):
+            canonical_json(wrap(value))
+        with pytest.raises(SpecError, match="non-finite"):
+            content_hash(wrap(value))
+
+    def test_finite_numpy_scalars_still_hash(self):
+        assert canonical_json({"x": np.float64(0.5), "n": np.int64(3)}) \
+            == '{"n":3,"x":0.5}'
 
 
 class TestArtifactCache:

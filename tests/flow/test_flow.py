@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.flow import (ExperimentConfig, PopulationConfig, format_population,
-                        format_sweep, format_table1, implement,
-                        run_design_beta, run_population)
+from repro.api import RunSpec
+from repro.flow import (format_population, format_sweep, format_table1,
+                        implement, run_design_beta, run_population)
 
 
 @pytest.fixture(scope="module")
@@ -39,8 +39,8 @@ class TestImplement:
 
 class TestTable1Harness:
     def test_single_row(self, flow):
-        config = ExperimentConfig(betas=(0.05,), ilp_time_limit_s=60)
-        row = run_design_beta(flow, 0.05, config)
+        spec = RunSpec(kind="table1", beta=0.05, ilp_time_limit_s=60)
+        row = run_design_beta(flow, spec)
         assert row.design == "c1355"
         assert row.single_bb_uw > 0
         assert row.num_constraints > 0
@@ -52,20 +52,19 @@ class TestTable1Harness:
                     >= row.heuristic_savings[clusters] - 1e-6)
 
     def test_skip_ilp_threshold(self, flow):
-        config = ExperimentConfig(betas=(0.05,), skip_ilp_above_rows=1)
-        row = run_design_beta(flow, 0.05, config)
+        spec = RunSpec(kind="table1", beta=0.05, skip_ilp_above_rows=1)
+        row = run_design_beta(flow, spec)
         assert row.ilp_savings[2] is None
         assert row.ilp_cell(2) == "-"
 
     def test_savings_grow_with_beta(self, flow):
-        config = ExperimentConfig(betas=(0.05, 0.10))
-        rows = [run_design_beta(flow, beta, config) for beta in config.betas]
+        rows = [run_design_beta(flow, RunSpec(kind="table1", beta=beta))
+                for beta in (0.05, 0.10)]
         assert rows[1].heuristic_savings[3] > rows[0].heuristic_savings[3]
         assert rows[1].num_constraints > rows[0].num_constraints
 
     def test_formatting(self, flow):
-        config = ExperimentConfig(betas=(0.05,))
-        rows = [run_design_beta(flow, 0.05, config)]
+        rows = [run_design_beta(flow, RunSpec(kind="table1", beta=0.05))]
         table = format_table1(rows)
         assert "c1355" in table
         assert "No.Constr" in table
@@ -78,8 +77,8 @@ class TestTable1Harness:
 
 class TestPopulationHarness:
     def test_sample_only_row(self, flow):
-        config = PopulationConfig(num_dies=30, seed=3)
-        row = run_population(flow, config)
+        spec = RunSpec(kind="population", num_dies=30, seed=3)
+        row = run_population(flow, spec)
         assert row.design == "c1355"
         assert row.num_dies == 30
         assert row.beta_std > 0
@@ -88,16 +87,16 @@ class TestPopulationHarness:
         assert row.sta_engine == "batched"
 
     def test_tuned_row_improves_yield(self, flow):
-        config = PopulationConfig(num_dies=12, seed=3, tune=True)
-        row = run_population(flow, config)
+        spec = RunSpec(kind="population", num_dies=12, seed=3, tune=True)
+        row = run_population(flow, spec)
         assert row.tuned_yield is not None
         assert row.tuned_yield >= row.timing_yield
         assert row.recovered + row.lost \
             == round((1 - row.timing_yield) * row.num_dies)
 
     def test_study_and_formatting(self, flow):
-        config = PopulationConfig(num_dies=20, seed=1)
-        rows = [run_population(flow, config)]
+        spec = RunSpec(kind="population", num_dies=20, seed=1)
+        rows = [run_population(flow, spec)]
         text = format_population(rows)
         assert "c1355" in text
         assert "STA engine: batched" in text

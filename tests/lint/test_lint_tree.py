@@ -21,7 +21,8 @@ from repro.lint.cli import main as lint_main
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 LINT_TARGETS = [REPO_ROOT / name
-                for name in ("src", "tests", "benchmarks", "examples")]
+                for name in ("src", "tests", "benchmarks", "examples",
+                             "perfbench")]
 
 
 def test_shipped_tree_is_lint_clean():

@@ -12,8 +12,8 @@ from repro.api import (RunResult, RunSpec, population_row_from_payload,
                        table1_row_from_payload, table1_row_payload)
 from repro.core import build_problem, solve_heuristic, solve_single_bb
 from repro.errors import SpecError
-from repro.flow import (ArtifactCache, ExperimentConfig, PopulationConfig,
-                        implement, run_design_beta, run_population)
+from repro.flow import (ArtifactCache, implement, run_design_beta,
+                        run_population)
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +148,52 @@ class TestBoundaryValidation:
         assert RunSpec(kind="table1", ilp_backend="bnb").ilp_backend \
             == "bnb"
 
+    def test_table1_method_must_be_a_heuristic(self):
+        with pytest.raises(SpecError, match="heuristic strategy entry"):
+            RunSpec(kind="table1", method="ilp:highs")
+        assert RunSpec(kind="table1", method="heuristic").method \
+            == "heuristic"
+
+
+#: (alias, canonical) spellings of one solver; the table1 pair skips
+#: its ILP columns so the from-scratch branch & bound never runs
+SOLVER_SPELLINGS = {
+    "heuristic": (dict(kind="allocate", design="c1355",
+                       method="heuristic"),
+                  dict(kind="allocate", design="c1355",
+                       method="heuristic:row-descent")),
+    "ilp": (dict(kind="allocate", design="c1355", method="ilp"),
+            dict(kind="allocate", design="c1355", method="ilp:highs")),
+    "bnb": (dict(kind="table1", design="c1355", ilp_backend="bnb",
+                 skip_ilp_above_rows=1),
+            dict(kind="table1", design="c1355",
+                 ilp_backend="branch_bound", skip_ilp_above_rows=1)),
+}
+
+
+class TestSolverContentAddress:
+    """A solver alias and the registry name it resolves to are one
+    content address: the second spelling is a cache hit."""
+
+    @pytest.mark.parametrize("pair", SOLVER_SPELLINGS.values(),
+                             ids=SOLVER_SPELLINGS.keys())
+    def test_second_spelling_is_a_cache_hit(self, pair):
+        alias, canonical = (RunSpec(**fields) for fields in pair)
+        assert alias.spec_hash() == canonical.spec_hash()
+        cache = ArtifactCache()
+        first = run(alias, cache=cache)
+        second = run(canonical, cache=cache)
+        assert not first.cache_hit
+        assert second.cache_hit
+        assert second.payload == first.payload
+
+    def test_distinct_solvers_still_hash_apart(self):
+        assert RunSpec(method="heuristic:level-sweep").spec_hash() \
+            != RunSpec(method="heuristic:row-descent").spec_hash()
+        assert RunSpec(kind="table1", ilp_backend="highs").spec_hash() \
+            != RunSpec(kind="table1",
+                       ilp_backend="branch_bound").spec_hash()
+
 
 class TestRunResultRoundTrip:
     def test_allocate_result_bit_identical(self, cache):
@@ -258,8 +304,8 @@ class TestParityWithDirectPaths:
         spec = RunSpec(kind="table1", design="c1355", beta=0.05,
                        ilp_time_limit_s=60.0)
         row = run(spec, cache=cache).to_table1_row()
-        config = ExperimentConfig(betas=(0.05,), ilp_time_limit_s=60.0)
-        direct = run_design_beta(flow, 0.05, config)
+        direct = run_design_beta(flow, RunSpec(kind="table1", beta=0.05,
+                                               ilp_time_limit_s=60.0))
         assert row.design == direct.design
         assert row.single_bb_uw == direct.single_bb_uw
         assert row.ilp_savings == direct.ilp_savings
@@ -270,8 +316,8 @@ class TestParityWithDirectPaths:
         spec = RunSpec(kind="population", design="c1355", num_dies=25,
                        seed=11)
         row = run(spec, cache=cache).to_population_row()
-        direct = run_population(flow, PopulationConfig(num_dies=25,
-                                                       seed=11))
+        direct = run_population(flow, RunSpec(kind="population",
+                                              num_dies=25, seed=11))
         assert row.beta_mean == direct.beta_mean
         assert row.beta_std == direct.beta_std
         assert row.beta_max == direct.beta_max
@@ -286,7 +332,8 @@ class TestParityWithDirectPaths:
         assert table1_row_from_payload(table1_row_payload(row)) == row
 
     def test_population_payload_codec_inverts(self, cache, flow):
-        row = run_population(flow, PopulationConfig(num_dies=10, seed=2))
+        row = run_population(flow, RunSpec(kind="population", num_dies=10,
+                                           seed=2))
         assert population_row_from_payload(
             population_row_payload(row)) == row
 
@@ -345,13 +392,11 @@ class TestSpatialKind:
                     process={"not_a_knob": 1}).process_model()
 
     def test_executes_matches_run_spatial_and_caches(self, cache):
-        from repro.flow import SpatialConfig, implement, run_spatial
+        from repro.flow import implement, run_spatial
         result = run(RunSpec(**self.SPEC), cache=cache)
         row = result.to_spatial_row()
         flow = implement("soc_quad", cache=cache)
-        direct = run_spatial(flow, SpatialConfig(
-            num_dies=12, seed=9, beta_budget=0.02, num_regions=4,
-            model=RunSpec(**self.SPEC).process_model()))
+        direct = run_spatial(flow, RunSpec(**self.SPEC))
         assert row.spatial_yield == direct.spatial_yield
         assert row.uniform_yield == direct.uniform_yield
         assert row.spatial_leakage_uw == direct.spatial_leakage_uw
@@ -530,12 +575,10 @@ class TestLifetimeKind:
 
     def test_executes_matches_run_lifetime_study_and_caches(self, cache,
                                                             flow):
-        from repro.flow import LifetimeConfig, run_lifetime_study
+        from repro.flow import run_lifetime_study
         result = run(RunSpec(**self.SPEC), cache=cache)
         row = result.to_lifetime_row()
-        direct = run_lifetime_study(flow, LifetimeConfig(
-            num_dies=12, seed=5, epochs=3, cadence=1, beta_budget=0.02,
-            drift=RunSpec(**self.SPEC).drift_model()))
+        direct = run_lifetime_study(flow, RunSpec(**self.SPEC))
         assert row.yield_curve == direct.yield_curve
         assert row.final_yield == direct.final_yield
         assert row.mean_leakage_uw == direct.mean_leakage_uw

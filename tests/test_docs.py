@@ -241,23 +241,26 @@ def test_serve_bench_artifact_documented():
 #: names of the temporal-scenario layer that DESIGN.md's "Temporal
 #: scenarios" section must pin down (ISSUE 9)
 TEMPORAL_DOC_NAMES = ("Temporal scenarios", "DriftModel",
-                      "run_lifetime", "EcoSolver", "dirty-domain",
-                      "default_rng([seed, epoch])", "quantise_betas",
+                      "run_lifetime", "TuningController.allocations",
+                      "Cross-epoch allocation reuse",
+                      "default_rng([seed, epoch])",
+                      "initial_sensor_estimate",
                       "scales_out", "cadence", "yield_curve",
                       "bench_aging.py", "repro-fbb lifetime")
 
 
 def test_temporal_scenarios_documented():
     """DESIGN.md must describe the drift process's determinism
-    contract, the lifetime loop and the dirty-domain invariant of the
-    incremental ECO re-solver."""
+    contract, the lifetime loop and its cross-epoch reuse of the
+    controller's allocations."""
     text = (REPO_ROOT / "DESIGN.md").read_text(encoding="utf-8")
     missing = [name for name in TEMPORAL_DOC_NAMES if name not in text]
     assert not missing, f"DESIGN.md does not mention: {missing}"
 
 
 def test_aging_bench_artifact_documented():
-    """EXPERIMENTS.md must track the incremental-ECO benchmark."""
+    """EXPERIMENTS.md must track the lifetime allocation-reuse
+    benchmark."""
     text = (REPO_ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
     for name in ("bench_aging.py", "out/aging.txt"):
         assert name in text, f"EXPERIMENTS.md does not mention {name}"

@@ -8,10 +8,11 @@ budget, grouping and worker count its
 leakage floats and all).  This suite drives that contract over
 randomized populations (seeds, circuits, beta budgets, groupings
 including ``bands:k`` and ``correlation:k``), checks ``workers=N``
-sharding of the batched engine against ``workers=1``, and pins the
-short-circuit behaviour: an all-converged or empty out-of-budget set
-runs zero matrix passes and zero allocations in both engines
-(DESIGN.md, "Batched calibration").
+sharding of the batched engine against ``workers=1``, checks that
+the allocations a controller keeps from one call change nothing in
+the next, and pins the short-circuit behaviour: an all-converged or
+empty out-of-budget set runs zero matrix passes and zero allocations
+in both engines (DESIGN.md, "Batched calibration").
 """
 
 import pytest
@@ -104,6 +105,34 @@ class TestBatchedEquivalence:
                                   beta_budget=beta_budget,
                                   engine="batched", workers=workers)
         assert sharded == reference
+
+    @settings(max_examples=8, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(min_value=0, max_value=200),
+           design=st.sampled_from(["c1355_small", "soc_small"]),
+           beta_budget=st.sampled_from([0.0, 0.02, 0.05]),
+           grouping=st.sampled_from(GROUPINGS))
+    def test_property_reused_allocations_bit_identical(self, seed, design,
+                                                       beta_budget,
+                                                       grouping):
+        """Population B calibrated after population A on one controller
+        equals B on a fresh controller and B through the serial
+        engine: the allocations kept from A are exact."""
+        placed = _placed(design)
+        first = sample_dies(placed, 12, seed=seed, store_scales=False)
+        second = sample_dies(placed, 12, seed=seed + 1,
+                             store_scales=False)
+        warm = TuningController(placed, CLIB, grouping=grouping)
+        tune_population(warm, first, beta_budget=beta_budget,
+                        engine="batched")
+        reused = tune_population(warm, second, beta_budget=beta_budget,
+                                 engine="batched")
+        fresh = tune_population(
+            TuningController(placed, CLIB, grouping=grouping), second,
+            beta_budget=beta_budget, engine="batched")
+        serial = tune_population(_controller(design, grouping), second,
+                                 beta_budget=beta_budget, engine="serial")
+        assert reused.records == fresh.records == serial.records
 
     def test_summary_records_model_mode(self, placed, controller):
         """Batched is an execution knob: the summary says "model" so it

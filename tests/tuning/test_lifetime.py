@@ -1,6 +1,9 @@
-"""Tests for the closed-loop lifetime engine (repro/tuning/lifetime.py)
-and the ``scales_out`` contract of the batched calibration engine it
-builds on."""
+"""Tests for the closed-loop lifetime engine (repro/tuning/lifetime.py),
+the cross-epoch reuse of the controller's allocations, and the
+``scales_out`` contract of the batched calibration engine it builds
+on."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -38,6 +41,11 @@ def population(placed):
 
 def _controller(placed) -> TuningController:
     return TuningController(placed, CLIB)
+
+
+def _without_runtime(summary):
+    """A summary's deterministic view: the wall-clock field zeroed."""
+    return dataclasses.replace(summary, runtime_s=0.0)
 
 
 class TestLifetimeLoop:
@@ -177,6 +185,56 @@ class TestLifetimeLoop:
         foreign = sample_dies(soc, 5, seed=0)
         with pytest.raises(TuningError, match="gate order"):
             run_lifetime(_controller(placed), foreign, MILD, epochs=2)
+
+
+class TestAllocationReuse:
+    """Model-mode epochs share the controller's allocations: one
+    ``build_problem`` per distinct estimate over the whole lifetime,
+    none on a warm re-run, and the same summary as allocating afresh
+    at every epoch."""
+
+    RUN = dict(epochs=4, cadence=1, beta_budget=0.02, seed=1)
+
+    def test_one_allocation_per_distinct_estimate(self, placed,
+                                                  population,
+                                                  monkeypatch):
+        import repro.tuning.controller as controller_module
+        estimates = []
+        build = controller_module.build_problem
+
+        def _counting(*args, **kwargs):
+            estimates.append(args[2])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(controller_module, "build_problem", _counting)
+        controller = _controller(placed)
+        first = run_lifetime(controller, population, MILD, **self.RUN)
+        assert first.recalibrations == 4
+        assert estimates  # the aging population has dies to allocate for
+        assert len(estimates) == len(set(estimates)) \
+            == len(controller.allocations)
+
+        calls = len(estimates)
+        warm = run_lifetime(controller, population, MILD, **self.RUN)
+        assert len(estimates) == calls  # the warm re-run allocates nothing
+        assert _without_runtime(warm) == _without_runtime(first)
+
+    def test_reuse_matches_allocating_afresh(self, placed, population,
+                                             monkeypatch):
+        import repro.tuning.lifetime as lifetime_module
+        reused = run_lifetime(_controller(placed), population, MILD,
+                              **self.RUN)
+        calibrate = lifetime_module.calibrate_dies_batched
+
+        def _afresh(controller, *args, **kwargs):
+            controller.allocations.clear()
+            return calibrate(controller, *args, **kwargs)
+
+        monkeypatch.setattr(lifetime_module, "calibrate_dies_batched",
+                            _afresh)
+        afresh = run_lifetime(_controller(placed), population, MILD,
+                              **self.RUN)
+        assert _without_runtime(afresh) == _without_runtime(reused)
 
 
 class TestScalesOut:

@@ -3,12 +3,15 @@ closed over the correlated intra-die field): SpatialSensorGrid,
 TuningController.calibrate_spatial, and tune_population's spatial mode.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.api import RunSpec
 from repro.circuits import multiblock_soc
 from repro.errors import TuningError
-from repro.flow import ArtifactCache, SpatialConfig, implement, run_spatial
+from repro.flow import ArtifactCache, implement, run_spatial
 from repro.placement import place_design
 from repro.synth import map_netlist
 from repro.tech import characterize_library, reduced_library
@@ -196,7 +199,6 @@ class TestTunePopulationSpatial:
         assert summary.num_regions == 1  # one replica monitor
 
     def test_spatial_needs_scale_matrix(self, controller, population):
-        import dataclasses
         stripped = dataclasses.replace(population, scale_matrix=None)
         with pytest.raises(TuningError, match="scale matrix"):
             tune_population(controller, stripped, mode="spatial")
@@ -207,8 +209,9 @@ class TestRunSpatialHarness:
         soc = multiblock_soc("soc_harness", num_blocks=4,
                              block_gates=130, seed=3)
         flow = implement(soc, cache=ArtifactCache())
-        row = run_spatial(flow, SpatialConfig(
-            num_dies=24, seed=9, model=MODEL, num_regions=4,
+        row = run_spatial(flow, RunSpec(
+            kind="spatial", num_dies=24, seed=9,
+            process=dataclasses.asdict(MODEL), num_regions=4,
             beta_budget=0.02))
         assert row.num_regions == 4
         assert row.correlation_length == 0.25

@@ -1,16 +1,14 @@
 """Tests for sensors, bias generator and the closed tuning loop."""
 
-import numpy as np
 import pytest
 
 from repro.circuits import c1355_like
 from repro.errors import TuningError
 from repro.placement import place_design
-from repro.sta import BatchedTimingAnalyzer, TimingAnalyzer, extract_paths
+from repro.sta import TimingAnalyzer
 from repro.synth import map_netlist
 from repro.tech import Technology, characterize_library, reduced_library
 from repro.tuning import (BodyBiasGenerator, InSituMonitor,
-                          PathReplicaSensor, PopulationMonitor,
                           TuningController, tune_population)
 from repro.variation import sample_dies
 
@@ -24,40 +22,6 @@ def placed():
     return place_design(mapped, LIBRARY)
 
 
-@pytest.fixture(scope="module")
-def replica(placed):
-    analyzer = TimingAnalyzer.for_placed(placed)
-    paths = extract_paths(analyzer)
-    # tiny margin: the replica sits exactly at Tcrit on a nominal die
-    return PathReplicaSensor(replica=paths[0],
-                             tcrit_ps=paths[0].delay_ps * 1.001)
-
-
-class TestPathReplica:
-    def test_no_alarm_at_nominal(self, replica):
-        assert not replica.alarm(0.0)
-
-    def test_alarm_on_slow_die(self, replica):
-        assert replica.alarm(0.10)
-
-    def test_bias_clears_alarm(self, replica):
-        slow = 0.08
-        bias_scale = CLIB.delay_scales[10]  # max forward bias
-        assert replica.alarm(slow)
-        assert not replica.alarm(slow, bias_scale)
-
-    def test_estimate_inverts_measurement(self, replica):
-        measured = replica.measured_delay_ps(0.07)
-        assert replica.estimate_slowdown(measured) == pytest.approx(0.07)
-
-    def test_guard_band_validation(self, replica):
-        with pytest.raises(TuningError):
-            PathReplicaSensor(replica.replica, tcrit_ps=-1.0)
-        with pytest.raises(TuningError):
-            PathReplicaSensor(replica.replica, tcrit_ps=100.0,
-                              guard_band=1.5)
-
-
 class TestInSituMonitor:
     def test_counts_alarms(self, placed):
         analyzer = TimingAnalyzer.for_placed(placed)
@@ -66,54 +30,6 @@ class TestInSituMonitor:
         assert monitor.alarms_raised == 1
         assert not monitor.check(0.0)
         assert monitor.alarms_raised == 1
-
-    def test_failing_endpoints_nonempty_on_alarm(self, placed):
-        analyzer = TimingAnalyzer.for_placed(placed)
-        monitor = InSituMonitor(analyzer, analyzer.critical_delay_ps())
-        assert monitor.failing_endpoints(0.05)
-
-
-class TestPopulationMonitor:
-    def test_matches_scalar_monitor(self, placed):
-        analyzer = TimingAnalyzer.for_placed(placed)
-        batched = BatchedTimingAnalyzer(analyzer)
-        tcrit = analyzer.critical_delay_ps()
-        scalar_monitor = InSituMonitor(analyzer, tcrit)
-        monitor = PopulationMonitor(batched, tcrit)
-        betas = np.array([0.0, 0.02, 0.08])
-        alarms = monitor.check_population(betas)
-        expected = [scalar_monitor.check(float(b)) for b in betas]
-        assert alarms.tolist() == expected
-        assert monitor.alarms_raised == sum(expected)
-
-    def test_bias_scales_clear_alarms(self, placed):
-        batched = BatchedTimingAnalyzer.for_placed(placed)
-        tcrit = batched.analyzer.critical_delay_ps()
-        monitor = PopulationMonitor(batched, tcrit * 1.0001)
-        betas = np.full(4, 0.05)
-        assert monitor.check_population(betas).all()
-        strong_bias = np.full((4, batched.num_gates),
-                              CLIB.delay_scales[10])
-        assert not monitor.check_population(betas, strong_bias).any()
-
-    def test_measured_betas_round_trip(self, placed):
-        batched = BatchedTimingAnalyzer.for_placed(placed)
-        monitor = PopulationMonitor(
-            batched, batched.analyzer.critical_delay_ps())
-        population = sample_dies(placed, 10, seed=8)
-        measured = monitor.measured_betas(population.scale_matrix,
-                                          population.nominal_delay_ps)
-        assert np.array_equal(measured, population.betas)
-
-    def test_validation(self, placed):
-        batched = BatchedTimingAnalyzer.for_placed(placed)
-        with pytest.raises(TuningError):
-            PopulationMonitor(batched, -1.0)
-        monitor = PopulationMonitor(batched, 100.0)
-        with pytest.raises(TuningError):
-            monitor.check_population(np.array([-0.1]))
-        with pytest.raises(TuningError):
-            monitor.check_population(np.zeros((2, 2)))
 
 
 class TestPopulationTuning:
